@@ -138,7 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--targets")
             sp.add_argument("--alpha", type=float)
         else:
-            sp.add_argument("--no-cache", action="store_true", help="recompute features every step")
+            # default None, not False, so that a config file's no-cache is not overridden
+            sp.add_argument("--no-cache", action="store_true", default=None,
+                            help="recompute features every step")
 
     sp = sub.add_parser("sweep", help="probe and lora across a list of shot counts")
     common(sp)
@@ -177,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the cross-module invariant suite")
     common(sp)
     sp.add_argument("--backbone", help="also verify this checkpoint's integrity")
-    sp.add_argument("--debug-nonzero-b", action="store_true",
+    sp.add_argument("--debug-nonzero-b", action="store_true", default=None,
                     help="deliberately break LoRA zero-init to prove the check fires")
 
     sp = sub.add_parser("report", help="render a results CSV")
@@ -316,7 +318,7 @@ def _cmd_scale(o: _Opts) -> int:
 def _cmd_verify(o: _Opts) -> int:
     checks = run_verify(
         backbone=o.args.get("backbone"),
-        debug_nonzero_b=o.args.get("debug_nonzero_b", False),
+        debug_nonzero_b=o.get("debug-nonzero-b", False, _bool),
     )
     for c in checks:
         print(f"{'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}")

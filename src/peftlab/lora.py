@@ -2,9 +2,11 @@
 
 Each targeted d x d projection W gets an independent trainable pair
 (A: r x n, B: m x r); the adapted projection computes
-W x + gamma * B (A x) as two low-rank products, never materializing the
-m x n delta on the training path. gamma = alpha / r, recomputed from
-config on every use. A starts Kaiming-uniform (fan-in), B starts at
+W x + gamma * B (A x) as one `tensor.lora_linear` node (two low-rank
+products plus the host product), never materializing the m x n delta on
+the training path. The backbone takes the pairs as per-block factors
+(A, B, gamma) through `ViTModel.forward`. gamma = alpha / r, recomputed
+from config on every use. A starts Kaiming-uniform (fan-in), B starts at
 exactly zero, so injection changes nothing until the first optimizer
 step. Merging folds gamma*B*A into W for inference; unmerging subtracts
 the identical recomputed quantity.
@@ -100,13 +102,15 @@ class LoraPair:
         """gamma * B A, materialized (merge/verification only, rank <= r)."""
         return self.cfg.gamma * (self.B.data @ self.A.data)
 
+    def factors(self) -> tuple[Tensor, Tensor, float]:
+        """(A, B, gamma): what `T.lora_linear` adds to the host projection."""
+        return self.A, self.B, self.cfg.gamma
+
     def adapted_forward(self, x: Tensor) -> Tensor:
         """W x + gamma * B (A x), gradients flowing to A and B only."""
         if self.merged:
             raise StateError(f"{self.key}: adapted forward on a merged pair; use the plain weight")
-        base = T.linear(x, self.host)
-        low = T.linear(T.linear(x, self.A), self.B)
-        return T.add(base, T.scale(self.cfg.gamma, low))
+        return T.lora_linear(x, self.host, *self.factors())
 
     def merge(self) -> None:
         if self.merged:
@@ -140,21 +144,14 @@ class AdaptedModel:
             out[f"block{i}.{target}.lora_B"] = pair.B
         return out
 
-    def _proj_apply(self, block_idx: int):
-        hooks = {t: p for (i, t), p in self.pairs.items() if i == block_idx and not p.merged}
-        if not hooks:
-            return None
-
-        def apply(target: str, w: Tensor, x: Tensor) -> Tensor:
-            pair = hooks.get(target)
-            if pair is None:
-                return T.linear(x, w)
-            return pair.adapted_forward(x)
-
-        return apply
-
     def forward(self, images) -> Tensor:
-        return self.base.forward(images, proj_apply=self._proj_apply)
+        """Backbone forward with every unmerged pair on its projection;
+        a merged pair is already folded into its host weight."""
+        adapters: list[dict] = [{} for _ in self.base.blocks]
+        for (i, target), pair in self.pairs.items():
+            if not pair.merged:
+                adapters[i][target] = pair.factors()
+        return self.base.forward(images, adapters)
 
     def merge_all(self) -> None:
         for pair in self.pairs.values():

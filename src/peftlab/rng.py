@@ -96,20 +96,27 @@ class Rng:
         """One integer uniform on [0, bound). Bias is < bound / 2**53, negligible here."""
         return int(self.uniform() * bound)
 
+    def _below_each(self, bounds: np.ndarray) -> list[int]:
+        """[below(b) for b in bounds] from one vectorised draw.
+
+        Each `below` call takes exactly one counter slot, so the draws,
+        and the counter afterwards, are those of the loop.
+        """
+        return (self.uniform((len(bounds),)) * bounds).astype(np.int64).tolist()
+
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n); exactly portable."""
-        out = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
+        out = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), self._below_each(np.arange(n, 1, -1))):
             out[i], out[j] = out[j], out[i]
-        return out
+        return np.array(out, dtype=np.int64)
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), returned sorted ascending."""
-        if k > n:
+        if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} from {n} without replacement")
-        pool = np.arange(n, dtype=np.int64)
-        for i in range(k):
-            j = i + self.below(n - i)
+        pool = list(range(n))
+        for i, j in enumerate(self._below_each(np.arange(n, n - k, -1))):
+            j += i
             pool[i], pool[j] = pool[j], pool[i]
-        return sorted(int(v) for v in pool[:k])
+        return sorted(pool[:k])

@@ -10,12 +10,20 @@ optimizer writes into parameter `.data` between steps.
 Precision is 64-bit by default, 32-bit selectable per run ("f32").
 Elementwise broadcasting is deliberately limited to python-number
 scalars; all tensor-tensor elementwise ops require exactly equal shapes
-so every backward rule is unambiguous. The only shape-polymorphic op is
-`linear`, which applies a 2-D weight to any stack of row vectors and
-sums the weight gradient over the leading axes.
+so every backward rule is unambiguous. The ops that take 2-D weights
+(`linear`, `lora_linear`, `mlp_block`) apply them to any stack of row
+vectors and sum the weight gradients over the leading axes.
+
+Three fused ops cover the transformer block, each one tape node with a
+hand-derived backward over intermediates it keeps from its forward:
+`attention` (split heads, softmax(Q K^T / sqrt(d/H)) V, merge heads),
+`lora_linear` (W x + gamma * B (A x)) and `mlp_block` (LN, W1, GELU,
+W2, residual). Their forward evaluates the same numpy expressions, in
+the same order, as the chain of primitive ops they replace. Every
+backward skips the products whose operand does not require grad.
 
 Every op output is checked finite; a NaN/Inf raises NumericError at the
-op that produced it.
+op that produced it, which for a fused op names the fused op.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +41,7 @@ DTYPES = {"f64": np.float64, "f32": np.float32}
 
 _GELU_C0 = math.sqrt(2.0 / math.pi)
 _GELU_C1 = 0.044715
+_NORM_EPS = 1e-5
 
 _TRACE: Optional[list] = None
 
@@ -193,13 +202,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            # a frozen parent is a leaf that takes no gradient: nothing to visit
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     return order
-
-
-def iter_graph(root: Tensor) -> Iterable[Tensor]:
-    return iter(_topo_order(root))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -304,19 +310,50 @@ def scale(gamma: float, x: Tensor) -> Tensor:
     return _from_op("scale", x.data * g0, (x,), bw)
 
 
+def _gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of x and the tanh term its derivative needs.
+
+    The cube is x*x*x: `x**3` goes through pow() and is ~70x slower.
+    """
+    dt = x.dtype
+    t = x * x
+    t *= x
+    t *= dt.type(_GELU_C1)
+    t += x
+    t *= dt.type(_GELU_C0)
+    np.tanh(t, out=t)
+    out = x * dt.type(0.5)
+    out *= t + 1.0
+    return out, t
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c0 (1 + 3 c1 x^2)."""
+    dt = x.dtype
+    du = x * x
+    du *= 3.0 * dt.type(_GELU_C1)
+    du += 1.0
+    du *= dt.type(_GELU_C0)
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    h = x * 0.5
+    h *= sech2
+    h *= du
+    d = t + 1.0
+    d *= 0.5
+    d += h
+    return d
+
+
 @_quiet
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
-    dt = x.data.dtype
-    c0, c1 = dt.type(_GELU_C0), dt.type(_GELU_C1)
-    u = c0 * (x.data + c1 * x.data**3)
-    t = np.tanh(u)
-    out = dt.type(0.5) * x.data * (1.0 + t)
+    out, t = _gelu_fwd(x.data)
 
-    def bw(g, x=x, t=t, c0=c0, c1=c1):
-        du = c0 * (1.0 + 3.0 * c1 * x.data**2)
-        d = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        _accum(x, g * d)
+    def bw(g, x=x, t=t):
+        d = _gelu_grad(x.data, t)
+        d *= g
+        _accum(x, d)
 
     return _from_op("gelu", out, (x,), bw)
 
@@ -349,35 +386,131 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op("matmul", out, (a, b), bw)
 
 
+def _check_linear(x: Tensor, w: Tensor, op: str) -> None:
+    if w.data.ndim != 2:
+        raise DimensionError(f"{op}: weight must be 2-D, got {w.shape}")
+    if x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[1]:
+        raise DimensionError(f"{op}: input width {x.shape} does not match weight {w.shape}")
+    if x.data.dtype != w.data.dtype:
+        raise ConfigError(f"{op}: mixed dtypes {x.data.dtype} and {w.data.dtype}")
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(..., n) -> (rows, n): the stack of row vectors a weight acts on."""
+    return a.reshape(-1, a.shape[-1])
+
+
 @_quiet
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x @ W^T (+ bias); x is (..., n), W is (m, n), bias (m,).
 
-    The weight gradient sums over all leading axes of x; this is the one
-    op that applies a 2-D parameter to a whole batch.
+    The weight gradient sums over all leading axes of x.
     """
-    if w.data.ndim != 2:
-        raise DimensionError(f"linear: weight must be 2-D, got {w.shape}")
-    if x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[1]:
-        raise DimensionError(f"linear: input width {x.shape} does not match weight {w.shape}")
-    if x.data.dtype != w.data.dtype:
-        raise ConfigError(f"linear: mixed dtypes {x.data.dtype} and {w.data.dtype}")
+    _check_linear(x, w, "linear")
     out = x.data @ w.data.T
     if b is not None:
         if b.data.shape != (w.data.shape[0],):
             raise DimensionError(f"linear: bias shape {b.shape} does not match weight {w.shape}")
-        out = out + b.data
+        out += b.data
 
     def bw(g, x=x, w=w, b=b):
-        _accum(x, g @ w.data)
-        g2 = g.reshape(-1, g.shape[-1])
-        x2 = x.data.reshape(-1, x.data.shape[-1])
-        _accum(w, g2.T @ x2)
-        if b is not None:
-            _accum(b, g2.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, g @ w.data)
+        if w.requires_grad:
+            _accum(w, _rows(g).T @ _rows(x.data))
+        if b is not None and b.requires_grad:
+            _accum(b, _rows(g).sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
     return _from_op("linear", out, parents, bw)
+
+
+@_quiet
+def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Tensor:
+    """y = x @ W^T + gamma * (x @ A^T) @ B^T, one tape node.
+
+    x is (..., n), W (m, n), A (r, n), B (m, r): a projection plus its
+    low-rank side path (LoRA). The m x n delta B A is never formed.
+    """
+    _check_linear(x, w, "lora_linear")
+    m, n = w.data.shape
+    if a.data.ndim != 2 or a.data.shape[1] != n or b.data.shape != (m, a.data.shape[0]):
+        raise DimensionError(f"lora_linear: factors {a.shape}, {b.shape} do not fit weight {w.shape}")
+    if a.data.dtype != w.data.dtype or b.data.dtype != w.data.dtype:
+        raise ConfigError(f"lora_linear: factor dtypes {a.data.dtype}, {b.data.dtype} differ from {w.data.dtype}")
+    g0 = w.data.dtype.type(gamma)
+    out = x.data @ w.data.T
+    ax = x.data @ a.data.T
+    low = ax @ b.data.T
+    low *= g0
+    out += low
+
+    def bw(g, x=x, w=w, a=a, b=b, ax=ax, g0=g0):
+        gs = g * g0
+        if b.requires_grad:
+            _accum(b, _rows(gs).T @ _rows(ax))
+        if a.requires_grad or x.requires_grad:
+            gax = gs @ b.data
+            if a.requires_grad:
+                _accum(a, _rows(gax).T @ _rows(x.data))
+            if x.requires_grad:
+                dx = g @ w.data
+                dx += gax @ a.data
+                _accum(x, dx)
+        if w.requires_grad:
+            _accum(w, _rows(g).T @ _rows(x.data))
+
+    return _from_op("lora_linear", out, (x, w, a, b), bw)
+
+
+@_quiet
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention core, one tape node.
+
+    q, k, v are (B, T, d). Each is split into `heads` slices of width
+    d/H; per head the output is softmax(Q K^T / sqrt(d/H)) V, and the
+    heads are merged back to (B, T, d). Heads are strided views of the
+    inputs and of the output buffer, so only K^T is copied; the softmax
+    weights are kept for backward.
+    """
+    if q.data.ndim != 3:
+        raise DimensionError(f"attention expects (B,T,d) inputs, got {q.shape}")
+    _check_same_shape(q, k, "attention")
+    _check_same_shape(q, v, "attention")
+    nb, nt, d = q.data.shape
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention: width {d} does not split into {heads} heads")
+    dh = d // heads
+    c = q.data.dtype.type(1.0 / math.sqrt(d / heads))
+
+    def split(a):  # (B, T, d) -> (B, H, T, d/H) view
+        return a.reshape(nb, nt, heads, dh).transpose(0, 2, 1, 3)
+
+    def merged_matmul(a, b):  # per-head a @ b, written straight into a (B, T, d) buffer
+        out = np.empty_like(q.data)
+        np.matmul(a, b, out=split(out))
+        return out
+
+    q4, v4 = split(q.data), split(v.data)
+    # a contiguous K^T keeps the scores bit-equal to the unfused matmul
+    y = q4 @ np.ascontiguousarray(split(k.data).transpose(0, 1, 3, 2))
+    y *= c
+    _softmax_inplace(y)
+    out = merged_matmul(y, v4)
+
+    def bw(g, q=q, k=k, v=v, y=y):
+        q4, k4, v4, g4 = split(q.data), split(k.data), split(v.data), split(g)
+        if v.requires_grad:
+            _accum(v, merged_matmul(y.transpose(0, 1, 3, 2), g4))
+        if q.requires_grad or k.requires_grad:
+            ds = _softmax_grad_inplace(g4 @ v4.transpose(0, 1, 3, 2), y)
+            ds *= c
+            if q.requires_grad:
+                _accum(q, merged_matmul(ds, k4))
+            if k.requires_grad:
+                _accum(k, merged_matmul(ds.transpose(0, 1, 3, 2), q4))
+
+    return _from_op("attention", out, (q, k, v), bw)
 
 
 # -- shape ops ------------------------------------------------------------
@@ -469,44 +602,135 @@ def tmean(x: Tensor) -> Tensor:
     return _from_op("mean", np.asarray(x.data.mean(), dtype=x.data.dtype), (x,), bw)
 
 
+def _check_norm(x: Tensor, gain: Tensor, bias: Tensor, op: str) -> None:
+    d = x.data.shape[-1] if x.data.ndim else 0
+    if d == 0:
+        raise DimensionError(f"{op}: empty normalized axis")
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise DimensionError(f"{op}: gain/bias must have shape ({d},)")
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, kept; the same sum-then-divide as `a.mean`."""
+    m = a.sum(axis=-1, keepdims=True)
+    m /= a.shape[-1]
+    return m
+
+
+def _norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """Layer norm of x; returns (out, xhat, 1/std) for the backward.
+
+    The variance reuses the centred x; it is `x.var` without its second
+    mean and subtraction, and gives the same bits.
+    """
+    xhat = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + x.dtype.type(eps))
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
+
+
+def _norm_bwd(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor, xhat, inv) -> np.ndarray | None:
+    """Accumulates the gain/bias gradients; returns dx, or None if x is frozen."""
+    if gain.requires_grad:
+        _accum(gain, _rows(g * xhat).sum(axis=0))
+    if bias.requires_grad:
+        _accum(bias, _rows(g).sum(axis=0))
+    if not x.requires_grad:
+        return None
+    dxhat = g * gain.data
+    m1 = _row_mean(dxhat)
+    m2 = _row_mean(dxhat * xhat)
+    dxhat -= m1
+    dxhat -= xhat * m2
+    dxhat *= inv
+    return dxhat
+
+
 @_quiet
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) -> Tensor:
     """Zero mean / unit variance over the last axis, then affine gain+bias."""
     if eps <= 0:
         raise ConfigError("layer_norm: eps must be > 0")
-    d = x.data.shape[-1] if x.data.ndim else 0
-    if d == 0:
-        raise DimensionError("layer_norm: empty normalized axis")
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise DimensionError(f"layer_norm: gain/bias must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = (x.data - mu) * inv
-    out = gain.data * xhat + bias.data
+    _check_norm(x, gain, bias, "layer_norm")
+    out, xhat, inv = _norm_fwd(x.data, gain.data, bias.data, eps)
 
-    def bw(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv, d=d):
-        if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.reshape(-1, d).sum(axis=0))
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (dxhat - m1 - xhat * m2))
+    def bw(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
+        dx = _norm_bwd(g, x, gain, bias, xhat, inv)
+        if dx is not None:
+            _accum(x, dx)
 
     return _from_op("layer_norm", out, (x, gain, bias), bw)
 
 
 @_quiet
+def mlp_block(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor,
+              w2: Tensor, b2: Tensor) -> Tensor:
+    """Pre-norm MLP sub-block with residual, one tape node:
+    x + W2 gelu(W1 LN(x) + b1) + b2. x is (..., d), W1 (h, d), W2 (d, h).
+    """
+    _check_norm(x, ln_g, ln_b, "mlp_block")
+    _check_linear(x, w1, "mlp_block")
+    if w2.data.shape != w1.data.shape[::-1]:
+        raise DimensionError(f"mlp_block: weights {w1.shape} and {w2.shape} do not chain back to width")
+    if w2.data.dtype != x.data.dtype:
+        raise ConfigError(f"mlp_block: mixed dtypes {x.data.dtype} and {w2.data.dtype}")
+    if b1.data.shape != w1.data.shape[:1] or b2.data.shape != w2.data.shape[:1]:
+        raise DimensionError(f"mlp_block: bias shapes {b1.shape}, {b2.shape} do not match weights")
+    hn, xhat, inv = _norm_fwd(x.data, ln_g.data, ln_b.data, _NORM_EPS)
+    a1 = hn @ w1.data.T
+    a1 += b1.data
+    hg, t = _gelu_fwd(a1)
+    out = hg @ w2.data.T
+    out += b2.data
+    out += x.data
+
+    def bw(g, x=x, ln_g=ln_g, ln_b=ln_b, w1=w1, b1=b1, w2=w2, b2=b2):
+        if w2.requires_grad:
+            _accum(w2, _rows(g).T @ _rows(hg))
+        if b2.requires_grad:
+            _accum(b2, _rows(g).sum(axis=0))
+        if not any(p.requires_grad for p in (x, ln_g, ln_b, w1, b1)):
+            return
+        da1 = g @ w2.data
+        da1 *= _gelu_grad(a1, t)
+        if w1.requires_grad:
+            _accum(w1, _rows(da1).T @ _rows(hn))
+        if b1.requires_grad:
+            _accum(b1, _rows(da1).sum(axis=0))
+        if x.requires_grad or ln_g.requires_grad or ln_b.requires_grad:
+            dx = _norm_bwd(da1 @ w1.data, x, ln_g, ln_b, xhat, inv)
+            if dx is not None:
+                dx += g
+                _accum(x, dx)
+
+    return _from_op("mlp_block", out, (x, ln_g, ln_b, w1, b1, w2, b2), bw)
+
+
+def _softmax_inplace(a: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in a's own buffer."""
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
+
+
+def _softmax_grad_inplace(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient into the input of y = softmax(x), given g = dL/dy;
+    computed in g's own buffer."""
+    g -= (g * y).sum(axis=-1, keepdims=True)
+    g *= y
+    return g
+
+
+@_quiet
 def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis (attention weights)."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis."""
+    y = _softmax_inplace(x.data.copy())
 
     def bw(g, x=x, y=y):
-        _accum(x, (g - (g * y).sum(axis=-1, keepdims=True)) * y)
+        _accum(x, _softmax_grad_inplace(g.copy(), y))
 
     return _from_op("softmax", y, (x,), bw)
 

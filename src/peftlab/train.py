@@ -141,6 +141,8 @@ def default_fewshot_steps(k: int) -> int:
 
 def _batch_indices(n: int, batch_size: int, steps: int, rng: Rng):
     """Epoch-shuffled minibatches, `steps` of them in total."""
+    if n == 0:
+        raise InsufficientDataError("no training examples to draw minibatches from")
     done = 0
     while done < steps:
         perm = rng.permutation(n)
@@ -347,6 +349,8 @@ def run_experiment(backbone_path, manifest: DatasetManifest, cfg: TrainConfig,
                    k: int | None = None, dataset_name: str | None = None) -> RunResult:
     """Full protocol for one (mode, shots-or-fraction) cell: LR sweep on
     validation, final metrics on test, one SeedRun per configured seed."""
+    if k is not None and k < 1:
+        raise ConfigError(f"shots per class must be >= 1, got {k}")
 
     def run_fn(lr: float, seed: int) -> SeedRun:
         support, val_idx, test_idx = _selections(manifest, cfg, k, seed)

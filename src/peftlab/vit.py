@@ -9,7 +9,6 @@ and "L14-shape" exist only for parameter accounting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,25 +140,14 @@ class AttentionBlock:
         }
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    b, t, d = x.shape
-    x = T.reshape(x, (b, t, heads, d // heads))
-    return T.transpose(x, (0, 2, 1, 3))
+def attention_forward(block: AttentionBlock, tokens: Tensor, heads: int, adapters=None) -> Tensor:
+    """Pre-norm multi-head self-attention sub-block: x + Wo attn(LN(x)).
 
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, t, dh = x.shape
-    x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (b, t, h * dh))
-
-
-def attention_forward(block: AttentionBlock, tokens: Tensor, heads: int, proj_apply=None) -> Tensor:
-    """Pre-norm multi-head self-attention sub-block: x + MHSA(LN(x)).
-
-    Scores are softmax(Q K^T / sqrt(d/H)) per head; heads are
-    concatenated and projected by the output matrix. `proj_apply`, when
-    given, computes a projection as proj_apply(target, W, x) — the hook
-    the low-rank adapters attach through.
+    Scores are softmax(Q K^T / sqrt(d/H)) per head (one `T.attention`
+    node); heads are concatenated and projected by the output matrix.
+    `adapters` maps a projection target ("query", ...) to LoRA factors
+    (A, B, gamma); such a projection is W x + gamma * B (A x), one
+    `T.lora_linear` node, and every other projection is `T.linear`.
     """
     squeeze = tokens.data.ndim == 2
     x = T.reshape(tokens, (1,) + tokens.shape) if squeeze else tokens
@@ -169,30 +157,23 @@ def attention_forward(block: AttentionBlock, tokens: Tensor, heads: int, proj_ap
     if x.shape[-1] != d:
         raise DimensionError(f"token width {x.shape[-1]} does not match block width {d}")
 
-    def apply(target: str, h: Tensor) -> Tensor:
+    def project(target: str, h: Tensor) -> Tensor:
         w = block.proj_weight(target)
-        if proj_apply is not None:
-            return proj_apply(target, w, h)
-        return T.linear(h, w)
+        factors = adapters.get(target) if adapters else None
+        return T.linear(h, w) if factors is None else T.lora_linear(h, w, *factors)
 
     h = T.layer_norm(x, block.ln1_g, block.ln1_b)
-    q = _split_heads(apply("query", h), heads)
-    k = _split_heads(apply("key", h), heads)
-    v = _split_heads(apply("value", h), heads)
-    scores = T.scale(1.0 / math.sqrt(d / heads), T.matmul(q, T.transpose(k, (0, 1, 3, 2))))
-    ctx = T.matmul(T.softmax(scores), v)
-    out = apply("output", _merge_heads(ctx))
-    res = T.add(x, out)
+    ctx = T.attention(project("query", h), project("key", h), project("value", h), heads)
+    res = T.add(x, project("output", ctx))
     return T.reshape(res, tokens.shape) if squeeze else res
 
 
-def block_forward(block: AttentionBlock, x: Tensor, heads: int, proj_apply=None) -> Tensor:
-    """Full block: attention sub-block, then pre-norm MLP with residual."""
-    x = attention_forward(block, x, heads, proj_apply)
-    h = T.layer_norm(x, block.ln2_g, block.ln2_b)
-    h = T.gelu(T.linear(h, block.mlp_W1, block.mlp_b1))
-    h = T.linear(h, block.mlp_W2, block.mlp_b2)
-    return T.add(x, h)
+def block_forward(block: AttentionBlock, x: Tensor, heads: int, adapters=None) -> Tensor:
+    """Full block: attention sub-block, then the pre-norm MLP sub-block
+    with its residual (one `T.mlp_block` node)."""
+    x = attention_forward(block, x, heads, adapters)
+    return T.mlp_block(x, block.ln2_g, block.ln2_b,
+                       block.mlp_W1, block.mlp_b1, block.mlp_W2, block.mlp_b2)
 
 
 class ViTModel:
@@ -277,8 +258,12 @@ class ViTModel:
             if not trainable:
                 p.grad = None
 
-    def forward_patches(self, patches: Tensor, proj_apply=None) -> Tensor:
-        """Run the transformer on an already-patchified (B, P, patch_dim) batch."""
+    def forward_patches(self, patches: Tensor, adapters=None) -> Tensor:
+        """Run the transformer on an already-patchified (B, P, patch_dim) batch.
+
+        `adapters`, when given, holds one {target: (A, B, gamma)} mapping
+        per block (see `attention_forward`).
+        """
         cfg = self.config
         b = patches.shape[0]
         tok = T.linear(patches, self.patch_W, self.patch_b)
@@ -286,13 +271,13 @@ class ViTModel:
         x = T.concat([cls, tok], axis=1)
         x = T.add(x, T.repeat0(self.pos_embed, b))
         for i, blk in enumerate(self.blocks):
-            hook = None if proj_apply is None else proj_apply(i)
-            x = block_forward(blk, x, cfg.heads, hook)
+            x = block_forward(blk, x, cfg.heads, adapters[i] if adapters else None)
         x = T.layer_norm(x, self.final_g, self.final_b)
         return T.select(x, axis=1, index=0)
 
-    def forward(self, images, proj_apply=None) -> Tensor:
-        """Features for a (B,C,H,W) numpy batch (or (C,H,W) single image)."""
+    def forward(self, images, adapters=None) -> Tensor:
+        """Features for a (B,C,H,W) numpy batch (or (C,H,W) single image);
+        `adapters` as in `forward_patches`."""
         arr = images if isinstance(images, np.ndarray) else np.asarray(images)
         single = arr.ndim == 3
         if single:
@@ -304,7 +289,7 @@ class ViTModel:
                 f"({cfg.channels},{cfg.image_size},{cfg.image_size})"
             )
         patches = Tensor(patchify(arr.astype(self.dtype, copy=False), cfg.patch_size))
-        z = self.forward_patches(patches, proj_apply)
+        z = self.forward_patches(patches, adapters)
         return T.reshape(z, (cfg.dim,)) if single else z
 
 

@@ -87,6 +87,23 @@ def test_config_file_with_flag_precedence(fast_dirs, fast_ckpt, tmp_path):
     assert "max_steps=6" in manifest
 
 
+def test_config_file_store_true_flags_are_not_overridden(fast_dirs, fast_ckpt, tmp_path):
+    # an absent --no-cache flag must leave the file's no-cache=true in force
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("no-cache=true\n")
+    out = tmp_path / "results.csv"
+    assert run_cli("probe", "--config", cfgfile, "--backbone", fast_ckpt,
+                   "--data", fast_dirs / "target", "--shots", 1, "--seeds", "0",
+                   "--lr-grid", "1e-2", "--steps", 2, "--out", out) == 0
+    assert "cache_features=False" in next(tmp_path.glob("*.manifest")).read_text()
+
+
+def test_verify_debug_flag_from_config_file(tmp_path, capsys):
+    cfgfile = tmp_path / "verify.cfg"
+    cfgfile.write_text("debug-nonzero-b=true\n")
+    assert run_cli("verify", "--config", cfgfile) == 5
+
+
 # -- scale --------------------------------------------------------------------------
 
 
@@ -194,6 +211,14 @@ def test_exit_code_data_error(fast_ckpt, tmp_path, capsys):
     code = run_cli("probe", "--backbone", fast_ckpt, "--data", missing,
                    "--shots", 1, "--out", tmp_path / "r.csv")
     assert code == 3
+
+
+def test_exit_code_zero_shots(fast_dirs, fast_ckpt, tmp_path, capsys):
+    code = run_cli("probe", "--backbone", fast_ckpt, "--data", fast_dirs / "target",
+                   "--shots", 0, "--seeds", "0", "--lr-grid", "1e-2",
+                   "--out", tmp_path / "r.csv")
+    assert code == 2
+    assert "shots" in capsys.readouterr().err
 
 
 def test_exit_code_insufficient_shots(fast_dirs, fast_ckpt, tmp_path, capsys):

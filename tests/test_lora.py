@@ -4,6 +4,7 @@ import pytest
 from peftlab import tensor as T
 from peftlab.checkpoint import load_adapters, save_adapters
 from peftlab.errors import ConfigError, StateError
+from peftlab.head import LinearHead
 from peftlab.lora import LoraConfig, LoraPair, inject, kaiming_init, parse_targets, trainable_param_count
 from peftlab.rng import Rng
 from peftlab.tensor import Tensor, op_trace
@@ -228,7 +229,23 @@ def test_merged_forward_has_no_lora_ops():
     with op_trace() as merged_ops:
         adapted.forward(images)
     assert merged_ops == base_ops          # inference-cost neutrality
-    assert len(unmerged_ops) > len(base_ops)
+    # unmerged, each adapted projection (q and v of every block) is a lora_linear node
+    # where the base runs a plain linear; every other op is the same
+    assert [op for op, _ in base_ops].count("lora_linear") == 0
+    assert [op for op, _ in unmerged_ops].count("lora_linear") == 2 * TINY.depth
+    assert [("linear" if op == "lora_linear" else op, shape) for op, shape in unmerged_ops] == base_ops
+
+
+def test_lora_training_step_records_at_most_25_ops():
+    # per block: ln1, 3 projections, the attention core, Wo, residual add, the MLP
+    # sub-block; around them patch embedding (5), final norm + readout, head, loss
+    # (the unfused chain recorded 73)
+    adapted = inject(tiny_model(seed=18), LoraConfig(rank=2, init_seed=18))
+    head = LinearHead(5, TINY.dim)
+    with op_trace() as ops:
+        logits = head.forward(adapted.forward(Rng(19).uniform((4, 1, 32, 32))))
+        T.softmax_cross_entropy(logits, np.arange(4))
+    assert len(ops) <= 25
 
 
 # -- accounting -------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,3 +62,41 @@ def test_sample_without_replacement_properties(seed, n, k):
 
 def test_sample_without_replacement_full_range():
     assert Rng(3).sample_without_replacement(5, 5) == [0, 1, 2, 3, 4]
+
+
+def _loop_permutation(rng, n):
+    out = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def _loop_sample(rng, n, k):
+    pool = np.arange(n, dtype=np.int64)
+    for i in range(k):
+        j = i + rng.below(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(int(v) for v in pool[:k])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 20, 351, 1000])
+def test_vectorised_draws_equal_a_loop_of_below_calls(n):
+    # one below() call per swap, as Fisher-Yates draws them; the counter must end
+    # where the loop leaves it, so later draws from the stream are unchanged too
+    loop, fast = Rng(21).derive(n), Rng(21).derive(n)
+    want = _loop_permutation(loop, n)
+    got = fast.permutation(n)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert fast._counter == loop._counter
+    for k in sorted({0, min(1, n), n // 3, n}):
+        loop, fast = Rng(22).derive(n, k), Rng(22).derive(n, k)
+        assert fast.sample_without_replacement(n, k) == _loop_sample(loop, n, k)
+        assert fast._counter == loop._counter
+        assert fast.uniform() == loop.uniform()
+
+
+def test_sample_without_replacement_rejects_bad_counts():
+    for n, k in ((3, 4), (3, -1)):
+        with pytest.raises(ValueError):
+            Rng(0).sample_without_replacement(n, k)

@@ -309,3 +309,117 @@ def test_linear_grad_randomized(rows, n, m, seed):
         return T.tsum(T.gelu(T.linear(x, w, b)))
 
     assert grad_check(f, [x, w, b], eps=1e-5) < 1e-4
+
+
+# -- fused ops -------------------------------------------------------------------
+#
+# Each fused op is checked against the chain of primitive ops it replaces,
+# built here from the public primitives, and by finite differences.
+
+
+def unfused_attention(q, k, v, heads):
+    b, n, d = q.shape
+
+    def split(x):
+        return T.transpose(T.reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))
+
+    scores = T.scale(1.0 / math.sqrt(d / heads), T.matmul(split(q), T.transpose(split(k), (0, 1, 3, 2))))
+    ctx = T.matmul(T.softmax(scores), split(v))
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
+
+
+def unfused_lora_linear(x, w, a, b, gamma):
+    return T.add(T.linear(x, w), T.scale(gamma, T.linear(T.linear(x, a), b)))
+
+
+def unfused_mlp_block(x, ln_g, ln_b, w1, b1, w2, b2):
+    h = T.gelu(T.linear(T.layer_norm(x, ln_g, ln_b), w1, b1))
+    return T.add(x, T.linear(h, w2, b2))
+
+
+def fused_cases():
+    """name -> (fused op, unfused chain, tensor shapes, extra positional args)."""
+    return {
+        "attention": (T.attention, unfused_attention, [(2, 3, 4)] * 3, (2,)),
+        "lora_linear": (T.lora_linear, unfused_lora_linear, [(2, 3, 4), (5, 4), (2, 4), (5, 2)], (0.75,)),
+        "mlp_block": (T.mlp_block, unfused_mlp_block,
+                      [(2, 3, 4), (4,), (4,), (8, 4), (8,), (4, 8), (4,)], ()),
+    }
+
+
+def make_inputs(shapes, trainable, seed=0):
+    rng = Rng(seed)
+    return [Tensor(rng.normal(s, std=0.7), requires_grad=i in trainable) for i, s in enumerate(shapes)]
+
+
+def weighted_sum(out, seed=99):
+    # a random linear functional, so every output coordinate's gradient matters
+    return T.tsum(T.mul(out, Tensor(Rng(seed).normal(out.shape))))
+
+
+# which inputs require grad: all; a frozen weight with a live input (the LoRA
+# case: only the input, or only the factors, train); the input frozen as in block 0
+TRAINABLE = {
+    "attention": [{0, 1, 2}, {0, 2}, {1}],
+    "lora_linear": [{0, 1, 2, 3}, {0, 2, 3}, {2, 3}, {0, 1}],
+    "mlp_block": [{0, 1, 2, 3, 4, 5, 6}, {0}, {3, 4, 5, 6}, {1, 2}],
+}
+FUSED_PARAMS = [(name, tuple(sorted(tr))) for name, trs in TRAINABLE.items() for tr in trs]
+
+
+@pytest.mark.parametrize("name,trainable", FUSED_PARAMS)
+def test_fused_op_grad_check(name, trainable):
+    fused, _, shapes, extra = fused_cases()[name]
+    inputs = make_inputs(shapes, trainable)
+    live = [inputs[i] for i in trainable]
+
+    def f():
+        return weighted_sum(fused(*inputs, *extra))
+
+    assert grad_check(f, live, eps=1e-6) < 1e-6
+    for i, x in enumerate(inputs):
+        assert (x.grad is None) == (i not in trainable)  # frozen operands get no gradient
+
+
+@pytest.mark.parametrize("name,trainable", FUSED_PARAMS)
+def test_fused_op_matches_unfused_chain(name, trainable):
+    fused, unfused, shapes, extra = fused_cases()[name]
+    results = []
+    for op in (fused, unfused):
+        inputs = make_inputs(shapes, trainable, seed=3)
+        out = op(*inputs, *extra)
+        weighted_sum(out).backward()
+        results.append([out.data] + [inputs[i].grad for i in trainable])
+    for got, want in zip(*results):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_fused_forward_is_bit_equal_to_unfused_chain():
+    for name, (fused, unfused, shapes, extra) in fused_cases().items():
+        inputs = make_inputs(shapes, trainable=(), seed=4)
+        np.testing.assert_array_equal(fused(*inputs, *extra).data, unfused(*inputs, *extra).data)
+
+
+@pytest.mark.parametrize("name,blown", [("attention", (0, 1)), ("lora_linear", (2, 3)),
+                                         ("mlp_block", (3, 5))])
+def test_fused_op_names_itself_on_overflow(name, blown):
+    # two huge factors of one product overflow inside the op, not in its inputs
+    fused, _, shapes, extra = fused_cases()[name]
+    inputs = make_inputs(shapes, trainable=())
+    for i in blown:
+        inputs[i].data[...] = 1e200
+    with pytest.raises(NumericError, match=f"produced by {name}$"):
+        fused(*inputs, *extra)
+
+
+def test_fused_op_shape_errors():
+    x = t(np.ones((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        T.attention(x, x, x, 3)  # 4 does not split into 3 heads
+    with pytest.raises(DimensionError):
+        T.attention(x, x, t(np.ones((2, 3, 2))), 2)
+    with pytest.raises(DimensionError):
+        T.lora_linear(x, t(np.ones((5, 4))), t(np.ones((2, 4))), t(np.ones((4, 2))), 1.0)
+    with pytest.raises(DimensionError):
+        T.mlp_block(x, t(np.ones(4)), t(np.zeros(4)), t(np.ones((8, 4))), t(np.zeros(8)),
+                    t(np.ones((4, 7))), t(np.zeros(4)))

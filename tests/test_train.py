@@ -185,6 +185,18 @@ def test_fit_names_diverging_step():
              TrainConfig(), lr=1e-3, seed=0, steps=3)
 
 
+def test_fit_on_an_empty_support_set_fails_fast():
+    # _batch_indices would otherwise spin forever without yielding a batch
+    with pytest.raises(InsufficientDataError):
+        _fit(lambda batch: None, [], np.zeros((0, 1)), np.zeros(0, dtype=np.int64),
+             TrainConfig(), lr=1e-3, seed=0, steps=3)
+
+
+def test_zero_shots_is_a_config_error(fast_ckpt, fast_target):
+    with pytest.raises(ConfigError, match="shots"):
+        run_experiment(fast_ckpt, fast_target, quick_cfg(), k=0)
+
+
 # -- integration: probe and lora training ------------------------------------------------
 
 

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from peftlab import tensor as T
 from peftlab.errors import ConfigError, DimensionError
 from peftlab.rng import Rng
-from peftlab.tensor import Tensor
+from peftlab.tensor import Tensor, grad_check
 from peftlab.vit import (
     PRESETS,
     ViTConfig,
@@ -12,6 +14,7 @@ from peftlab.vit import (
     attention_forward,
     attention_projection_count,
     backbone_forward,
+    block_forward,
     param_count,
     patchify,
     preset,
@@ -158,6 +161,78 @@ def test_attention_width_mismatch():
     model, cfg = small_model()
     with pytest.raises(DimensionError):
         attention_forward(model.blocks[0], Tensor(np.ones((3, cfg.dim + 1))), cfg.heads)
+
+
+# -- fused block against the primitive chain -------------------------------------
+
+
+def unfused_block(blk, x, heads, adapters):
+    """The block as the chain of primitive ops that the fused path replaces."""
+    b, n, d = x.shape
+
+    def project(target, h):
+        w = blk.proj_weight(target)
+        if target not in adapters:
+            return T.linear(h, w)
+        a, bb, gamma = adapters[target]
+        return T.add(T.linear(h, w), T.scale(gamma, T.linear(T.linear(h, a), bb)))
+
+    def split(z):
+        return T.transpose(T.reshape(z, (b, n, heads, d // heads)), (0, 2, 1, 3))
+
+    h = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
+    q, k, v = (split(project(target, h)) for target in ("query", "key", "value"))
+    scores = T.scale(1.0 / math.sqrt(d / heads), T.matmul(q, T.transpose(k, (0, 1, 3, 2))))
+    ctx = T.reshape(T.transpose(T.matmul(T.softmax(scores), v), (0, 2, 1, 3)), (b, n, d))
+    x = T.add(x, project("output", ctx))
+    h = T.gelu(T.linear(T.layer_norm(x, blk.ln2_g, blk.ln2_b), blk.mlp_W1, blk.mlp_b1))
+    return T.add(x, T.linear(h, blk.mlp_W2, blk.mlp_b2))
+
+
+# (LoRA targets, backbone trainable, input requires grad): pretraining; block 0 of
+# a LoRA run (frozen input); a later LoRA block with every projection adapted
+BLOCK_CASES = [((), True, True), (("query", "value"), False, False),
+               (("query", "key", "value", "output"), False, True)]
+
+
+def block_setup(targets, backbone_trainable, input_grad, seed=0):
+    cfg = ViTConfig(image_size=16, patch_size=8, channels=1, dim=4, depth=1, heads=2, mlp_ratio=2)
+    model = ViTModel.init(cfg, seed=seed)
+    rng = Rng(seed + 1)
+    for p in model.parameters().values():  # weights big enough that every path matters
+        p.data[...] = rng.normal(p.shape, std=0.5)
+    model.set_trainable(backbone_trainable)
+    adapters = {t: (Tensor(rng.normal((2, 4)), requires_grad=True),
+                    Tensor(rng.normal((4, 2)), requires_grad=True), 0.5) for t in targets}
+    x = Tensor(rng.normal((2, 3, 4)), requires_grad=input_grad)
+    live = [p for p in model.blocks[0].named().values() if p.requires_grad]
+    live += [f for a, b, _ in adapters.values() for f in (a, b)] + ([x] if input_grad else [])
+    return model.blocks[0], x, adapters, live
+
+
+def weighted_sum(out):
+    return T.tsum(T.mul(out, Tensor(Rng(99).normal(out.shape))))
+
+
+@pytest.mark.parametrize("targets,backbone_trainable,input_grad", BLOCK_CASES)
+def test_block_matches_unfused_chain(targets, backbone_trainable, input_grad):
+    results = []
+    for forward in (block_forward, unfused_block):
+        blk, x, adapters, live = block_setup(targets, backbone_trainable, input_grad)
+        out = forward(blk, x, 2, adapters)
+        weighted_sum(out).backward()
+        results.append([out.data] + [p.grad for p in live])
+    np.testing.assert_array_equal(results[0][0], results[1][0])  # the forward is bit-equal
+    for got, want in zip(*results):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("targets,backbone_trainable,input_grad", BLOCK_CASES)
+def test_block_grad_check(targets, backbone_trainable, input_grad):
+    blk, x, adapters, live = block_setup(targets, backbone_trainable, input_grad, seed=7)
+    assert grad_check(lambda: weighted_sum(block_forward(blk, x, 2, adapters)), live, eps=1e-4) < 1e-6
+    frozen = [p for p in blk.named().values() if not p.requires_grad] + ([] if input_grad else [x])
+    assert all(p.grad is None for p in frozen)
 
 
 # -- backbone forward -----------------------------------------------------------
