@@ -192,11 +192,6 @@ def test_fit_on_an_empty_support_set_fails_fast():
              TrainConfig(), lr=1e-3, seed=0, steps=3)
 
 
-def test_zero_shots_is_a_config_error(fast_ckpt, fast_target):
-    with pytest.raises(ConfigError, match="shots"):
-        run_experiment(fast_ckpt, fast_target, quick_cfg(), k=0)
-
-
 # -- integration: probe and lora training ------------------------------------------------
 
 
