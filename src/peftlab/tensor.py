@@ -322,26 +322,30 @@ def _gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t += x
     t *= dt.type(_GELU_C0)
     np.tanh(t, out=t)
-    out = x * dt.type(0.5)
-    out *= t + 1.0
+    # scaling by 0.5 is exact, so scaling last gives the bits of 0.5 x (1 + t)
+    out = t + 1.0
+    out *= x
+    out *= dt.type(0.5)
     return out, t
 
 
 def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c0 (1 + 3 c1 x^2)."""
+    """d gelu / dx = 0.5 ((1 + t) + x (1 - t^2) c0 (1 + 3 c1 x^2)).
+
+    Two buffers; the 0.5 is applied last, which is exact.
+    """
     dt = x.dtype
     du = x * x
     du *= 3.0 * dt.type(_GELU_C1)
     du += 1.0
     du *= dt.type(_GELU_C0)
-    sech2 = t * t
-    np.subtract(1.0, sech2, out=sech2)
-    h = x * 0.5
-    h *= sech2
-    h *= du
-    d = t + 1.0
-    d *= 0.5
-    d += h
+    d = t * t
+    np.subtract(1.0, d, out=d)
+    d *= x
+    d *= du
+    np.add(t, 1.0, out=du)
+    d += du
+    d *= dt.type(0.5)
     return d
 
 
