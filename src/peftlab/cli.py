@@ -146,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--backbone", required=True)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--shots-list", default="1,2,4,8,16,50")
+    sp.add_argument("--shots-list")
     sp.add_argument("--seeds")
     sp.add_argument("--lr-grid")
     sp.add_argument("--steps", type=int)
@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--backbone", required=True)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--fractions", default="0.05,0.25,1.0")
+    sp.add_argument("--fractions")
     sp.add_argument("--mode", choices=["linear_probe", "lora"])
     sp.add_argument("--seeds")
     sp.add_argument("--lr-grid")
@@ -280,7 +280,7 @@ def _cmd_run(o: _Opts, mode: str) -> int:
     manifest = load_manifest(Path(o.args["data"]) / "manifest.csv")
     result = run_experiment(
         o.args["backbone"], manifest, cfg,
-        k=o.args.get("shots"), dataset_name=o.args.get("dataset_name"),
+        k=o.get("shots", None, int), dataset_name=o.get("dataset-name"),
     )
     _report_run(result, o.args["out"], cfg, o.args["backbone"])
     return 0
@@ -295,7 +295,7 @@ def _cmd_sweep(o: _Opts) -> int:
         for k in shots:
             result = run_experiment(
                 o.args["backbone"], manifest, cfg, k=k,
-                dataset_name=o.args.get("dataset_name"),
+                dataset_name=o.get("dataset-name"),
             )
             _report_run(result, o.args["out"], cfg, o.args["backbone"])
     return 0
@@ -309,7 +309,7 @@ def _cmd_scale(o: _Opts) -> int:
     fractions = _parse_floats(o.get("fractions", "0.05,0.25,1.0"))
     for result in run_fraction_scaling(
         o.args["backbone"], manifest, fractions, cfg,
-        dataset_name=o.args.get("dataset_name"),
+        dataset_name=o.get("dataset-name"),
     ):
         _report_run(result, o.args["out"], cfg, o.args["backbone"])
     return 0

@@ -45,11 +45,6 @@ class LinearHead:
         return T.linear(z, self.W, self.b)
 
 
-def head_forward(head: LinearHead, z: Tensor) -> Tensor:
-    """Logits for one feature vector (n,) or a batch (B, n)."""
-    return head.forward(z)
-
-
 def predict_top1(logits) -> np.ndarray | int:
     """Argmax class index; ties break to the lowest index."""
     arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)

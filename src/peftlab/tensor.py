@@ -16,11 +16,13 @@ vectors and sum the weight gradients over the leading axes.
 
 Three fused ops cover the transformer block, each one tape node with a
 hand-derived backward over intermediates it keeps from its forward:
-`attention` (split heads, softmax(Q K^T / sqrt(d/H)) V, merge heads),
-`lora_linear` (W x + gamma * B (A x)) and `mlp_block` (LN, W1, GELU,
-W2, residual). Their forward evaluates the same numpy expressions, in
-the same order, as the chain of primitive ops they replace. Every
-backward skips the products whose operand does not require grad.
+`attention` (split heads, softmax(Q K^T / sqrt(d/H)) V, merge heads;
+q is (B, Tq, d) and k, v are (B, Tk, d), so fewer rows may query than
+supply keys and values), `lora_linear` (W x + gamma * B (A x)) and
+`mlp_block` (LN, W1, GELU, W2, residual). Their forward evaluates the
+same numpy expressions, in the same order, as the chain of primitive
+ops they replace. Every backward skips the products whose operand does
+not require grad.
 
 Every op output is checked finite; a NaN/Inf raises NumericError at the
 op that produced it, which for a fused op names the fused op.
@@ -471,27 +473,33 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Ten
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention core, one tape node.
 
-    q, k, v are (B, T, d). Each is split into `heads` slices of width
-    d/H; per head the output is softmax(Q K^T / sqrt(d/H)) V, and the
-    heads are merged back to (B, T, d). Heads are strided views of the
-    inputs and of the output buffer, so only K^T is copied; the softmax
-    weights are kept for backward.
+    q is (B, Tq, d); k and v are (B, Tk, d). Tq may be smaller than Tk:
+    the last ViT block queries with the class token alone while every
+    token supplies a key and a value. Each input is split into `heads`
+    slices of width d/H; per head the output is softmax(Q K^T / sqrt(d/H)) V,
+    and the heads are merged back to (B, Tq, d). Heads are strided views
+    of the inputs and of the output buffer, so only K^T is copied; the
+    softmax weights are kept for backward, which returns dq in q's shape
+    and dk, dv in the shape of k and v.
     """
     if q.data.ndim != 3:
         raise DimensionError(f"attention expects (B,T,d) inputs, got {q.shape}")
-    _check_same_shape(q, k, "attention")
-    _check_same_shape(q, v, "attention")
-    nb, nt, d = q.data.shape
+    _check_same_shape(k, v, "attention")
+    if k.data.ndim != 3 or (k.data.shape[0], k.data.shape[2]) != (q.data.shape[0], q.data.shape[2]):
+        raise DimensionError(f"attention: keys {k.shape} do not fit queries {q.shape}")
+    if q.data.dtype != k.data.dtype:
+        raise ConfigError(f"attention: mixed dtypes {q.data.dtype} and {k.data.dtype}")
+    d = q.data.shape[2]
     if heads < 1 or d % heads:
         raise DimensionError(f"attention: width {d} does not split into {heads} heads")
     dh = d // heads
     c = q.data.dtype.type(1.0 / math.sqrt(d / heads))
 
     def split(a):  # (B, T, d) -> (B, H, T, d/H) view
-        return a.reshape(nb, nt, heads, dh).transpose(0, 2, 1, 3)
+        return a.reshape(a.shape[0], a.shape[1], heads, dh).transpose(0, 2, 1, 3)
 
-    def merged_matmul(a, b):  # per-head a @ b, written straight into a (B, T, d) buffer
-        out = np.empty_like(q.data)
+    def merged_matmul(a, b, like):  # per-head a @ b, written straight into a buffer like `like`
+        out = np.empty_like(like)
         np.matmul(a, b, out=split(out))
         return out
 
@@ -500,19 +508,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     y = q4 @ np.ascontiguousarray(split(k.data).transpose(0, 1, 3, 2))
     y *= c
     _softmax_inplace(y)
-    out = merged_matmul(y, v4)
+    out = merged_matmul(y, v4, q.data)
 
     def bw(g, q=q, k=k, v=v, y=y):
         q4, k4, v4, g4 = split(q.data), split(k.data), split(v.data), split(g)
         if v.requires_grad:
-            _accum(v, merged_matmul(y.transpose(0, 1, 3, 2), g4))
+            _accum(v, merged_matmul(y.transpose(0, 1, 3, 2), g4, v.data))
         if q.requires_grad or k.requires_grad:
             ds = _softmax_grad_inplace(g4 @ v4.transpose(0, 1, 3, 2), y)
             ds *= c
             if q.requires_grad:
-                _accum(q, merged_matmul(ds, k4))
+                _accum(q, merged_matmul(ds, k4, q.data))
             if k.requires_grad:
-                _accum(k, merged_matmul(ds.transpose(0, 1, 3, 2), q4))
+                _accum(k, merged_matmul(ds.transpose(0, 1, 3, 2), q4, k.data))
 
     return _from_op("attention", out, (q, k, v), bw)
 
@@ -542,18 +550,20 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 
 @_quiet
-def select(x: Tensor, axis: int, index: int) -> Tensor:
-    """Pick one slice along `axis`, dropping the axis (e.g. class-token readout)."""
-    out = np.take(x.data, index, axis=axis)
+def select(x: Tensor, axis: int, index: int | slice) -> Tensor:
+    """Index along `axis` as numpy does: an int picks one slice and drops
+    the axis (the class-token readout), a slice keeps it (the class-token
+    row of the last block)."""
+    sl = [slice(None)] * x.data.ndim
+    sl[axis] = index
+    sl = tuple(sl)
 
-    def bw(g, x=x, axis=axis, index=index):
+    def bw(g, x=x, sl=sl):
         full = np.zeros_like(x.data)
-        sl = [slice(None)] * x.data.ndim
-        sl[axis] = index
-        full[tuple(sl)] = g
+        full[sl] = g
         _accum(x, full)
 
-    return _from_op("select", np.ascontiguousarray(out), (x,), bw)
+    return _from_op("select", x.data[sl].copy(), (x,), bw)
 
 
 @_quiet

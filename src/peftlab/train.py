@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import checkpoint_hash, load_backbone, save_backbone
-from .data import DatasetManifest, Episode, sample_episode
+from .data import DatasetManifest, sample_episode
 from .errors import (
     ConfigError,
     InsufficientDataError,
@@ -63,6 +63,8 @@ class TrainConfig:
             raise ConfigError("lora mode needs a LoraConfig")
         if not self.lr_grid:
             raise ConfigError("lr_grid must be non-empty")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if any(lr <= 0 for lr in self.lr_grid):
             raise ConfigError("learning rates must be positive")
         if not (0.0 < self.data_fraction <= 1.0):
@@ -370,20 +372,6 @@ def run_experiment(backbone_path, manifest: DatasetManifest, cfg: TrainConfig,
     )
 
 
-def train_probe(backbone_path, manifest, cfg: TrainConfig, k: int | None = None,
-                dataset_name: str | None = None) -> RunResult:
-    if cfg.mode != "linear_probe":
-        cfg = replace(cfg, mode="linear_probe", lora=None)
-    return run_experiment(backbone_path, manifest, cfg, k, dataset_name)
-
-
-def train_lora(backbone_path, manifest, cfg: TrainConfig, k: int | None = None,
-               dataset_name: str | None = None) -> RunResult:
-    if cfg.mode != "lora":
-        raise ConfigError("train_lora needs cfg.mode == 'lora' with a LoraConfig")
-    return run_experiment(backbone_path, manifest, cfg, k, dataset_name)
-
-
 def run_fraction_scaling(backbone_path, manifest, fractions, cfg: TrainConfig,
                          dataset_name: str | None = None) -> list[RunResult]:
     """One RunResult per fraction; subsets are nested per seed as the
@@ -411,6 +399,8 @@ def pretrain_backbone(vit_cfg: ViTConfig, manifest: DatasetManifest, steps: int,
     """Train backbone + throwaway head end-to-end on the synthetic source
     task; the saved backbone acts as the pretrained foundation for every
     downstream run. steps=0 just saves the seeded initialization."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     dtype = T.resolve_dtype(precision)
     model = ViTModel.init(vit_cfg, seed=seed, precision=precision)
     head = LinearHead(manifest.num_classes, vit_cfg.dim, precision=precision)

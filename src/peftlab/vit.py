@@ -5,6 +5,14 @@ no bias on the four attention projections (query/key/value/output each
 is a single d x d matrix so a low-rank delta attaches cleanly); the MLP
 keeps its biases. The "tiny" preset trains at desk scale; "B16-shape"
 and "L14-shape" exist only for parameter accounting.
+
+Only the class token is read out, so the last block updates only the
+class token (as in CaiT's class-attention layers): every token goes
+through LN1 and the key and value projections, but the query, the
+attention core, the output projection, the residual and the MLP run on
+the class-token row alone. This is exact in real arithmetic, but not
+bit-exact: BLAS may round a product over the B class-token rows
+differently from the same rows of a product over all B x T tokens.
 """
 
 from __future__ import annotations
@@ -140,7 +148,8 @@ class AttentionBlock:
         }
 
 
-def attention_forward(block: AttentionBlock, tokens: Tensor, heads: int, adapters=None) -> Tensor:
+def attention_forward(block: AttentionBlock, tokens: Tensor, heads: int, adapters=None,
+                      cls_only: bool = False) -> Tensor:
     """Pre-norm multi-head self-attention sub-block: x + Wo attn(LN(x)).
 
     Scores are softmax(Q K^T / sqrt(d/H)) per head (one `T.attention`
@@ -148,6 +157,9 @@ def attention_forward(block: AttentionBlock, tokens: Tensor, heads: int, adapter
     `adapters` maps a projection target ("query", ...) to LoRA factors
     (A, B, gamma); such a projection is W x + gamma * B (A x), one
     `T.lora_linear` node, and every other projection is `T.linear`.
+    With `cls_only`, every token still gives keys and values, but only
+    the class token (row 0) queries and is updated: the result has one
+    token row.
     """
     squeeze = tokens.data.ndim == 2
     x = T.reshape(tokens, (1,) + tokens.shape) if squeeze else tokens
@@ -163,15 +175,20 @@ def attention_forward(block: AttentionBlock, tokens: Tensor, heads: int, adapter
         return T.linear(h, w) if factors is None else T.lora_linear(h, w, *factors)
 
     h = T.layer_norm(x, block.ln1_g, block.ln1_b)
-    ctx = T.attention(project("query", h), project("key", h), project("value", h), heads)
+    k, v = project("key", h), project("value", h)
+    if cls_only:
+        x, h = T.select(x, 1, slice(0, 1)), T.select(h, 1, slice(0, 1))
+    ctx = T.attention(project("query", h), k, v, heads)
     res = T.add(x, project("output", ctx))
-    return T.reshape(res, tokens.shape) if squeeze else res
+    return T.reshape(res, res.shape[1:]) if squeeze else res
 
 
-def block_forward(block: AttentionBlock, x: Tensor, heads: int, adapters=None) -> Tensor:
+def block_forward(block: AttentionBlock, x: Tensor, heads: int, adapters=None,
+                  cls_only: bool = False) -> Tensor:
     """Full block: attention sub-block, then the pre-norm MLP sub-block
-    with its residual (one `T.mlp_block` node)."""
-    x = attention_forward(block, x, heads, adapters)
+    with its residual (one `T.mlp_block` node). `cls_only` as in
+    `attention_forward`."""
+    x = attention_forward(block, x, heads, adapters, cls_only)
     return T.mlp_block(x, block.ln2_g, block.ln2_b,
                        block.mlp_W1, block.mlp_b1, block.mlp_W2, block.mlp_b2)
 
@@ -262,7 +279,8 @@ class ViTModel:
         """Run the transformer on an already-patchified (B, P, patch_dim) batch.
 
         `adapters`, when given, holds one {target: (A, B, gamma)} mapping
-        per block (see `attention_forward`).
+        per block (see `attention_forward`). The last block updates the
+        class token only, since nothing reads its patch tokens.
         """
         cfg = self.config
         b = patches.shape[0]
@@ -270,8 +288,10 @@ class ViTModel:
         cls = T.repeat0(self.cls_token, b)
         x = T.concat([cls, tok], axis=1)
         x = T.add(x, T.repeat0(self.pos_embed, b))
+        last = len(self.blocks) - 1
         for i, blk in enumerate(self.blocks):
-            x = block_forward(blk, x, cfg.heads, adapters[i] if adapters else None)
+            factors = adapters[i] if adapters else None
+            x = block_forward(blk, x, cfg.heads, factors, cls_only=i == last)
         x = T.layer_norm(x, self.final_g, self.final_b)
         return T.select(x, axis=1, index=0)
 
@@ -291,11 +311,6 @@ class ViTModel:
         patches = Tensor(patchify(arr.astype(self.dtype, copy=False), cfg.patch_size))
         z = self.forward_patches(patches, adapters)
         return T.reshape(z, (cfg.dim,)) if single else z
-
-
-def backbone_forward(model: ViTModel, image) -> Tensor:
-    """Feature vector z (length d) for a single image."""
-    return model.forward(np.asarray(image))
 
 
 def param_count(obj, trainable_only: bool = False) -> int:

@@ -98,6 +98,27 @@ def test_config_file_store_true_flags_are_not_overridden(fast_dirs, fast_ckpt, t
     assert "cache_features=False" in next(tmp_path.glob("*.manifest")).read_text()
 
 
+def test_config_file_shots_and_dataset_name(fast_dirs, fast_ckpt, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    # 2, not 1: the full train split (what an ignored shots= runs) also reads "1"
+    cfgfile.write_text("shots=2\ndataset-name=from-file\nseeds=0\nlr-grid=1e-2\nsteps=2\n")
+    out = tmp_path / "results.csv"
+    assert run_cli("probe", "--config", cfgfile, "--backbone", fast_ckpt,
+                   "--data", fast_dirs / "target", "--out", out) == 0
+    assert [(r.dataset, r.k_or_fraction) for r in read_results(out)] == [("from-file", "2")]
+
+
+def test_config_file_shots_list_and_fractions(fast_dirs, fast_ckpt, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("shots-list=2\nfractions=0.5\nseeds=0\nlr-grid=1e-2\nsteps=2\n"
+                       "epochs=1\ndataset-name=cfg\n")
+    common = ["--config", cfgfile, "--backbone", fast_ckpt, "--data", fast_dirs / "target"]
+    assert run_cli("sweep", *common, "--out", tmp_path / "sweep.csv") == 0
+    assert {(r.dataset, r.k_or_fraction) for r in read_results(tmp_path / "sweep.csv")} == {("cfg", "2")}
+    assert run_cli("scale", *common, "--out", tmp_path / "scale.csv") == 0
+    assert [r.k_or_fraction for r in read_results(tmp_path / "scale.csv")] == ["0.5"]
+
+
 def test_verify_debug_flag_from_config_file(tmp_path, capsys):
     cfgfile = tmp_path / "verify.cfg"
     cfgfile.write_text("debug-nonzero-b=true\n")
@@ -219,6 +240,14 @@ def test_exit_code_zero_shots(fast_dirs, fast_ckpt, tmp_path, capsys):
                    "--out", tmp_path / "r.csv")
     assert code == 2
     assert "shots" in capsys.readouterr().err
+
+
+def test_exit_code_zero_batch_size(fast_dirs, fast_ckpt, tmp_path, capsys):
+    assert run_cli("pretrain", "--data", fast_dirs / "source", "--steps", 2,
+                   "--batch-size", 0, "--out", tmp_path / "bb.peft") == 2
+    assert run_cli("probe", "--backbone", fast_ckpt, "--data", fast_dirs / "target",
+                   "--shots", 1, "--batch-size", 0, "--out", tmp_path / "r.csv") == 2
+    assert "batch_size" in capsys.readouterr().err
 
 
 def test_exit_code_insufficient_shots(fast_dirs, fast_ckpt, tmp_path, capsys):

@@ -236,16 +236,22 @@ def test_merged_forward_has_no_lora_ops():
     assert [("linear" if op == "lora_linear" else op, shape) for op, shape in unmerged_ops] == base_ops
 
 
-def test_lora_training_step_records_at_most_25_ops():
-    # per block: ln1, 3 projections, the attention core, Wo, residual add, the MLP
-    # sub-block; around them patch embedding (5), final norm + readout, head, loss
-    # (the unfused chain recorded 73)
+def test_lora_training_step_op_sequence():
+    # Block 0 runs on every token; the last block runs LN1 and the key and value
+    # projections on every token, then takes the class-token rows of its input and
+    # of LN1, and runs the rest on them.
     adapted = inject(tiny_model(seed=18), LoraConfig(rank=2, init_seed=18))
     head = LinearHead(5, TINY.dim)
     with op_trace() as ops:
         logits = head.forward(adapted.forward(Rng(19).uniform((4, 1, 32, 32))))
         T.softmax_cross_entropy(logits, np.arange(4))
-    assert len(ops) <= 25
+    embed = ["linear", "repeat0", "concat", "repeat0", "add"]
+    block0 = ["layer_norm", "linear", "lora_linear", "lora_linear", "attention", "linear", "add",
+              "mlp_block"]
+    last = ["layer_norm", "linear", "lora_linear", "select", "select", "lora_linear", "attention",
+            "linear", "add", "mlp_block"]
+    readout = ["layer_norm", "select", "linear", "softmax_cross_entropy"]
+    assert [op for op, _ in ops] == embed + block0 + last + readout
 
 
 # -- accounting -------------------------------------------------------------------------

@@ -318,14 +318,15 @@ def test_linear_grad_randomized(rows, n, m, seed):
 
 
 def unfused_attention(q, k, v, heads):
-    b, n, d = q.shape
+    d = q.shape[-1]
 
     def split(x):
+        b, n, _ = x.shape
         return T.transpose(T.reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))
 
     scores = T.scale(1.0 / math.sqrt(d / heads), T.matmul(split(q), T.transpose(split(k), (0, 1, 3, 2))))
     ctx = T.matmul(T.softmax(scores), split(v))
-    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), q.shape)
 
 
 def unfused_lora_linear(x, w, a, b, gamma):
@@ -419,7 +420,37 @@ def test_fused_op_shape_errors():
     with pytest.raises(DimensionError):
         T.attention(x, x, t(np.ones((2, 3, 2))), 2)
     with pytest.raises(DimensionError):
+        T.attention(x, t(np.ones((3, 5, 4))), t(np.ones((3, 5, 4))), 2)  # batch differs
+    with pytest.raises(DimensionError):
+        T.attention(x, t(np.ones((2, 5, 4))), t(np.ones((2, 4, 4))), 2)  # k and v differ
+    with pytest.raises(DimensionError):
         T.lora_linear(x, t(np.ones((5, 4))), t(np.ones((2, 4))), t(np.ones((4, 2))), 1.0)
     with pytest.raises(DimensionError):
         T.mlp_block(x, t(np.ones(4)), t(np.zeros(4)), t(np.ones((8, 4))), t(np.zeros(8)),
                     t(np.ones((4, 7))), t(np.zeros(4)))
+
+
+@pytest.mark.parametrize("tq", [1, 2])
+@pytest.mark.parametrize("trainable", [(0, 1, 2), (0, 2), (1,)])
+def test_attention_with_fewer_queries_than_keys(tq, trainable):
+    # as in the class-token-only last block: q is (B, Tq, d), k and v are (B, Tk, d)
+    shapes = [(2, tq, 4), (2, 5, 4), (2, 5, 4)]
+    inputs = make_inputs(shapes, trainable, seed=5)
+    live = [inputs[i] for i in trainable]
+    out = T.attention(*inputs, 2)
+    assert out.shape == (2, tq, 4)
+    assert grad_check(lambda: weighted_sum(T.attention(*inputs, 2)), live, eps=1e-6) < 1e-6
+    assert [x.grad.shape for x in live] == [shapes[i] for i in trainable]
+    # one query row may take another BLAS kernel than the unfused chain: equal to rounding
+    want = unfused_attention(*inputs, 2).data
+    assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_select_slice_keeps_the_axis():
+    x = Tensor(Rng(11).normal((2, 3, 4)), requires_grad=True)
+    row = T.select(x, axis=1, index=slice(0, 1))
+    np.testing.assert_array_equal(row.data, x.data[:, :1])
+    weighted_sum(row).backward()
+    expected = np.zeros((2, 3, 4))
+    expected[:, :1] = Rng(99).normal((2, 1, 4))
+    np.testing.assert_array_equal(x.grad, expected)

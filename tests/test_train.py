@@ -92,6 +92,8 @@ def test_train_config_validation():
         TrainConfig(lr_grid=())
     with pytest.raises(ConfigError):
         TrainConfig(data_fraction=0.0)
+    with pytest.raises(ConfigError):
+        TrainConfig(batch_size=0)
 
 
 def test_steps_budget():
@@ -291,6 +293,15 @@ def test_pretrain_zero_steps_equals_init(fast_source, tmp_path):
     fresh = ViTModel.init(PRESETS["tiny"], seed=5)
     for name, p in fresh.parameters().items():
         np.testing.assert_array_equal(loaded.parameters()[name].data, p.data)
+
+
+def test_pretrain_rejects_zero_batch_size(fast_source, tmp_path):
+    path = tmp_path / "bb.peft"
+    for steps in (0, 2):
+        with pytest.raises(ConfigError):
+            pretrain_backbone(PRESETS["tiny"], fast_source, steps=steps, seed=0, out_path=path,
+                              batch_size=0)
+    assert not path.exists()
 
 
 def test_pretrain_rerun_identical_bytes(fast_source, tmp_path):

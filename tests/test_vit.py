@@ -6,14 +6,14 @@ import pytest
 from peftlab import tensor as T
 from peftlab.errors import ConfigError, DimensionError
 from peftlab.rng import Rng
-from peftlab.tensor import Tensor, grad_check
+from peftlab.tensor import Tensor, grad_check, op_trace
 from peftlab.vit import (
     PRESETS,
+    TARGETS,
     ViTConfig,
     ViTModel,
     attention_forward,
     attention_projection_count,
-    backbone_forward,
     block_forward,
     param_count,
     patchify,
@@ -241,14 +241,65 @@ def test_block_grad_check(targets, backbone_trainable, input_grad):
 def test_forward_deterministic_and_batch_consistent():
     model = ViTModel.init(TINY, seed=9)
     img = Rng(10).uniform((1, 32, 32))
-    z1 = backbone_forward(model, img)
-    z2 = backbone_forward(model, img)
+    z1 = model.forward(img)
+    z2 = model.forward(img)
     assert z1.shape == (TINY.dim,)
     np.testing.assert_array_equal(z1.data, z2.data)
     # identical images in one batch give identical rows
     zb = model.forward(np.stack([img, img]))
     np.testing.assert_array_equal(zb.data[0], zb.data[1])
     np.testing.assert_array_equal(zb.data[0], z1.data)
+
+
+def all_token_forward(model, images, adapters):
+    """`ViTModel.forward` with every block on every token, then the class-token readout."""
+    b = images.shape[0]
+    patches = Tensor(patchify(images, model.config.patch_size))
+    x = T.concat([T.repeat0(model.cls_token, b), T.linear(patches, model.patch_W, model.patch_b)], axis=1)
+    x = T.add(x, T.repeat0(model.pos_embed, b))
+    for blk, factors in zip(model.blocks, adapters):
+        x = block_forward(blk, x, model.config.heads, factors)
+    return T.select(T.layer_norm(x, model.final_g, model.final_b), axis=1, index=0)
+
+
+# (LoRA targets, backbone trainable): frozen features, LoRA on q,v and on every
+# projection, and pretraining
+FORWARD_CASES = [((), False), (("query", "value"), False), (TARGETS, False), ((), True)]
+
+
+@pytest.mark.parametrize("targets,backbone_trainable", FORWARD_CASES)
+def test_forward_matches_all_token_reference(targets, backbone_trainable):
+    results = []
+    for reference in (False, True):
+        model = ViTModel.init(TINY, seed=20)
+        rng = Rng(21)
+        # weights big enough that every path matters: near-uniform attention would leave
+        # the last block's q/k gradients small next to their rounding
+        for p in model.parameters().values():
+            p.data[...] = rng.normal(p.shape, std=0.5)
+        model.set_trainable(backbone_trainable)
+        adapters = [{t: (Tensor(rng.normal((2, TINY.dim)), requires_grad=True),
+                         Tensor(rng.normal((TINY.dim, 2)), requires_grad=True), 0.5) for t in targets}
+                    for _ in model.blocks]
+        live = [p for p in model.parameters().values() if p.requires_grad]
+        live += [f for factors in adapters for a, b, _ in factors.values() for f in (a, b)]
+        images = Rng(22).uniform((3, 1, 32, 32))
+        z = all_token_forward(model, images, adapters) if reference else model.forward(images, adapters)
+        if live:
+            weighted_sum(z).backward()
+        assert all(p.grad is not None for p in live)
+        results.append([z.data] + [p.grad for p in live])
+    for got, want in zip(*results):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_last_block_updates_the_class_token_only():
+    model = ViTModel.init(TINY, seed=23)
+    with op_trace() as ops:
+        model.forward(Rng(24).uniform((3, 1, 32, 32)))
+    full, cls = (3, TINY.num_tokens, TINY.dim), (3, 1, TINY.dim)
+    for name in ("attention", "mlp_block"):
+        assert [shape for op, shape in ops if op == name] == [full] * (TINY.depth - 1) + [cls]
 
 
 def test_forward_shape_contract_small_variants():
