@@ -140,8 +140,6 @@ def vit_config_to_dict(cfg: ViTConfig) -> dict[str, str]:
         "channels": cfg.channels, "dim": cfg.dim, "depth": cfg.depth,
         "heads": cfg.heads, "mlp_ratio": cfg.mlp_ratio,
     }
-    if cfg.num_classes_hint is not None:
-        out["num_classes_hint"] = cfg.num_classes_hint
     return {k: str(v) for k, v in out.items()}
 
 
@@ -151,7 +149,6 @@ def vit_config_from_dict(d: dict[str, str]) -> ViTConfig:
             image_size=int(d["image_size"]), patch_size=int(d["patch_size"]),
             channels=int(d["channels"]), dim=int(d["dim"]), depth=int(d["depth"]),
             heads=int(d["heads"]), mlp_ratio=int(d.get("mlp_ratio", 4)),
-            num_classes_hint=int(d["num_classes_hint"]) if "num_classes_hint" in d else None,
         )
     except KeyError as e:
         raise FormatError(f"checkpoint config missing field {e}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -72,6 +73,20 @@ class _Opts:
             except ValueError:
                 raise ConfigError(f"config file value {name}={raw!r} is not a valid {conv.__name__}")
         return default
+
+
+_DATASET_NAME = re.compile(r"[A-Za-z0-9._-]+")
+
+
+def _dataset_name(o: _Opts) -> str | None:
+    """--dataset-name, checked before anything runs: it becomes a results
+    CSV field and part of the run manifest's file name."""
+    name = o.get("dataset-name")
+    if name is not None and not _DATASET_NAME.fullmatch(name):
+        raise ConfigError(
+            f"dataset name {name!r} must be non-empty and use only letters, digits, '.', '_' and '-'"
+        )
+    return name
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:
@@ -275,42 +290,40 @@ def _cmd_pretrain(o: _Opts) -> int:
 
 
 def _cmd_run(o: _Opts, mode: str) -> int:
+    dataset_name = _dataset_name(o)
     _parse_seeds_grid(o)
     cfg = _train_config(o, mode)
     manifest = load_manifest(Path(o.args["data"]) / "manifest.csv")
     result = run_experiment(
         o.args["backbone"], manifest, cfg,
-        k=o.get("shots", None, int), dataset_name=o.get("dataset-name"),
+        k=o.get("shots", None, int), dataset_name=dataset_name,
     )
     _report_run(result, o.args["out"], cfg, o.args["backbone"])
     return 0
 
 
 def _cmd_sweep(o: _Opts) -> int:
+    dataset_name = _dataset_name(o)
     _parse_seeds_grid(o)
     manifest = load_manifest(Path(o.args["data"]) / "manifest.csv")
     shots = _parse_ints(o.get("shots-list", "1,2,4,8,16,50"))
     for mode in ("probe", "lora"):
         cfg = _train_config(o, mode)
         for k in shots:
-            result = run_experiment(
-                o.args["backbone"], manifest, cfg, k=k,
-                dataset_name=o.get("dataset-name"),
-            )
+            result = run_experiment(o.args["backbone"], manifest, cfg, k=k, dataset_name=dataset_name)
             _report_run(result, o.args["out"], cfg, o.args["backbone"])
     return 0
 
 
 def _cmd_scale(o: _Opts) -> int:
+    dataset_name = _dataset_name(o)
     _parse_seeds_grid(o)
     mode = o.get("mode", "lora")
     cfg = _train_config(o, "lora" if mode == "lora" else "probe")
     manifest = load_manifest(Path(o.args["data"]) / "manifest.csv")
     fractions = _parse_floats(o.get("fractions", "0.05,0.25,1.0"))
-    for result in run_fraction_scaling(
-        o.args["backbone"], manifest, fractions, cfg,
-        dataset_name=o.get("dataset-name"),
-    ):
+    for result in run_fraction_scaling(o.args["backbone"], manifest, fractions, cfg,
+                                       dataset_name=dataset_name):
         _report_run(result, o.args["out"], cfg, o.args["backbone"])
     return 0
 
@@ -324,7 +337,9 @@ def _cmd_verify(o: _Opts) -> int:
         print(f"{'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}")
         if not c.ok:
             print(json.dumps({"check": c.name, "ok": False, "detail": c.detail}))
-            raise VerificationError(f"invariant {c.name} failed: {c.detail}")
+    failed = [c.name for c in checks if not c.ok]
+    if failed:
+        raise VerificationError(f"invariants failed: {', '.join(failed)}")
     return 0
 
 

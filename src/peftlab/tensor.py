@@ -5,7 +5,8 @@ records its parents and a backward closure on the output tensor, and
 `Tensor.backward` replays the closures in reverse topological order,
 accumulating gradients additively where a tensor feeds several
 consumers. Tensors produced by ops are treated as immutable; only the
-optimizer writes into parameter `.data` between steps.
+optimizer writes parameter values between steps, in place, into the
+optimizer's flat buffer that each parameter's `.data` views.
 
 Precision is 64-bit by default, 32-bit selectable per run ("f32").
 Elementwise broadcasting is deliberately limited to python-number

@@ -167,16 +167,14 @@ def _load_split(manifest: DatasetManifest, indices, dtype) -> tuple[np.ndarray, 
     return images, manifest.labels(indices)
 
 
-def _fit(forward, trainable, images, labels, cfg: TrainConfig, lr: float, seed: int, steps: int) -> list[float]:
+def _fit(forward, trainable, images, labels, *, lr: float, seed: int, steps: int,
+         batch_size: int, weight_decay: float, schedule: str) -> list[float]:
     """Optimize `trainable` on (images, labels); returns the loss curve."""
-    opt = AdamW(
-        trainable, lr=lr, weight_decay=cfg.weight_decay,
-        schedule=cfg.schedule, max_steps=steps,
-    )
+    opt = AdamW(trainable, lr=lr, weight_decay=weight_decay, schedule=schedule, max_steps=steps)
     rng = Rng(seed).derive("batches")
     curve: list[float] = []
     n = images.shape[0]
-    for step, idx in enumerate(_batch_indices(n, cfg.batch_size, steps, rng)):
+    for step, idx in enumerate(_batch_indices(n, batch_size, steps, rng)):
         opt.zero_grad()
         try:
             logits = forward(images[idx])
@@ -214,17 +212,19 @@ def _probe_run(backbone_path, manifest, support, val_idx, test_idx, cfg, lr, see
     test_images, test_labels = _load_split(manifest, test_idx, dtype)
 
     if cfg.cache_features:
-        feats = _logits_in_chunks(model.forward, sup_images, cfg.batch_size)
+        inputs = _logits_in_chunks(model.forward, sup_images, cfg.batch_size)
 
         def forward(batch):  # batch is a feature matrix here
             return head.forward(Tensor(batch))
-
-        curve = _fit(forward, list(head.parameters().values()), feats, sup_labels, cfg, lr, seed, steps)
     else:
+        inputs = sup_images
+
         def forward(batch):
             return head.forward(model.forward(batch))
 
-        curve = _fit(forward, list(head.parameters().values()), sup_images, sup_labels, cfg, lr, seed, steps)
+    curve = _fit(forward, list(head.parameters().values()), inputs, sup_labels, lr=lr, seed=seed,
+                 steps=steps, batch_size=cfg.batch_size, weight_decay=cfg.weight_decay,
+                 schedule=cfg.schedule)
 
     def eval_forward(batch):
         return head.forward(model.forward(batch))
@@ -253,7 +253,8 @@ def _lora_run(backbone_path, manifest, support, val_idx, test_idx, cfg, lr, seed
     def forward(batch):
         return head.forward(adapted.forward(batch))
 
-    curve = _fit(forward, trainable, sup_images, sup_labels, cfg, lr, seed, steps)
+    curve = _fit(forward, trainable, sup_images, sup_labels, lr=lr, seed=seed, steps=steps,
+                 batch_size=cfg.batch_size, weight_decay=cfg.weight_decay, schedule=cfg.schedule)
 
     val_acc = top1_accuracy(_logits_in_chunks(forward, val_images, cfg.batch_size), val_labels)
 
@@ -413,8 +414,8 @@ def pretrain_backbone(vit_cfg: ViTConfig, manifest: DatasetManifest, steps: int,
         def forward(batch):
             return head.forward(model.forward(batch))
 
-        cfg = TrainConfig(mode="linear_probe", batch_size=batch_size, precision=precision)
-        curve = _fit(forward, trainable, images, labels, cfg, lr, seed, steps)
+        curve = _fit(forward, trainable, images, labels, lr=lr, seed=seed, steps=steps,
+                     batch_size=batch_size, weight_decay=1e-2, schedule="cosine")
 
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -2,13 +2,16 @@
 
 Runs the cross-module invariants end to end on freshly built throwaway
 models: zero-init identity, merge equivalence, gradient checks, count
-laws, and sampler determinism. Fails fast with a machine-readable record
-naming the first broken invariant.
+laws, and sampler determinism. Every check runs, even after one fails,
+and yields one record; a check that raises yields a FAIL record naming
+the exception.
 """
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -182,12 +185,22 @@ def check_checkpoint(path) -> CheckResult:
 
 def run_verify(backbone: str | None = None, debug_nonzero_b: bool = False) -> list[CheckResult]:
     checks = [
-        check_zero_init_identity(debug_nonzero_b=debug_nonzero_b),
-        check_merge_equivalence(),
-        check_gradients(),
-        check_count_law(),
-        check_sampler_determinism(),
+        ("zero_init_identity", lambda: check_zero_init_identity(debug_nonzero_b=debug_nonzero_b)),
+        ("merge_equivalence", check_merge_equivalence),
+        ("grad_check", check_gradients),
+        ("count_law", check_count_law),
+        ("sampler_determinism", check_sampler_determinism),
     ]
     if backbone is not None:
-        checks.append(check_checkpoint(backbone))
-    return checks
+        checks.append(("checkpoint_integrity", lambda: check_checkpoint(backbone)))
+    results = []
+    for name, check in checks:
+        try:
+            results.append(check())
+        except Exception as e:  # a check that crashes is a broken invariant, not a crash of verify
+            where = traceback.extract_tb(e.__traceback__)[-1]
+            results.append(CheckResult(
+                name, False,
+                f"raised {type(e).__name__}: {e} ({Path(where.filename).name}:{where.lineno})",
+            ))
+    return results

@@ -40,7 +40,6 @@ class ViTConfig:
     depth: int
     heads: int
     mlp_ratio: int = 4
-    num_classes_hint: int | None = None
 
     def __post_init__(self):
         if self.image_size % self.patch_size != 0:

@@ -207,6 +207,22 @@ def test_verify_debug_nonzero_b_fails(capsys):
     assert '"check": "zero_init_identity"' in out
 
 
+def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    from peftlab import verify
+
+    def boom():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "check_count_law", boom)
+    assert run_cli("verify") == 5
+    captured = capsys.readouterr()
+    assert "FAIL count_law: raised RuntimeError: boom (test_cli.py:" in captured.out
+    assert '"check": "count_law"' in captured.out
+    # every other check still ran and printed its record, including the one after
+    assert captured.out.count("PASS") == 4 and "PASS sampler_determinism" in captured.out
+    assert "count_law" in captured.err
+
+
 def test_verify_corrupt_checkpoint(fast_ckpt, tmp_path, capsys):
     bad = tmp_path / "bad.peft"
     raw = bytearray(fast_ckpt.read_bytes())
@@ -255,3 +271,22 @@ def test_exit_code_insufficient_shots(fast_dirs, fast_ckpt, tmp_path, capsys):
                    "--shots", 500, "--seeds", "0", "--lr-grid", "1e-2",
                    "--out", tmp_path / "r.csv")
     assert code == 3
+
+@pytest.mark.parametrize("name", ["a,b", "../../x", "a/b", ""])
+def test_exit_code_bad_dataset_name_writes_nothing(fast_dirs, fast_ckpt, tmp_path, capsys, name):
+    # a comma used to write a 9-field row that broke every later append;
+    # a slash appended the row and then crashed writing the run manifest
+    out = tmp_path / "runs" / "r.csv"
+    code = run_cli("probe", "--backbone", fast_ckpt, "--data", fast_dirs / "target",
+                   "--shots", 1, "--seeds", "0", "--lr-grid", "1e-2", "--steps", 2,
+                   "--dataset-name", name, "--out", out)
+    assert code == 2
+    assert "dataset name" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists() and list(tmp_path.iterdir()) == []
+
+
+def test_bad_dataset_name_rejected_by_sweep_and_scale(fast_dirs, fast_ckpt, tmp_path):
+    common = ["--backbone", fast_ckpt, "--data", fast_dirs / "target", "--dataset-name", "a,b"]
+    assert run_cli("sweep", *common, "--out", tmp_path / "sweep.csv") == 2
+    assert run_cli("scale", *common, "--out", tmp_path / "scale.csv") == 2
+    assert list(tmp_path.iterdir()) == []

@@ -183,15 +183,15 @@ def test_fit_names_diverging_step():
         raise NumericError("non-finite values produced by matmul")
 
     with pytest.raises(NumericError, match="step 0"):
-        _fit(forward, [], np.zeros((4, 1)), np.zeros(4, dtype=np.int64),
-             TrainConfig(), lr=1e-3, seed=0, steps=3)
+        _fit(forward, [], np.zeros((4, 1)), np.zeros(4, dtype=np.int64), lr=1e-3, seed=0,
+             steps=3, batch_size=32, weight_decay=1e-2, schedule="cosine")
 
 
 def test_fit_on_an_empty_support_set_fails_fast():
     # _batch_indices would otherwise spin forever without yielding a batch
     with pytest.raises(InsufficientDataError):
-        _fit(lambda batch: None, [], np.zeros((0, 1)), np.zeros(0, dtype=np.int64),
-             TrainConfig(), lr=1e-3, seed=0, steps=3)
+        _fit(lambda batch: None, [], np.zeros((0, 1)), np.zeros(0, dtype=np.int64), lr=1e-3,
+             seed=0, steps=3, batch_size=32, weight_decay=1e-2, schedule="cosine")
 
 
 # -- integration: probe and lora training ------------------------------------------------
