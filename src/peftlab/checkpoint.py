@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .files import write_atomic
 from .tensor import Tensor
 from .vit import ViTConfig, ViTModel
 
@@ -66,7 +67,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], config: dict) -> None:
     cfg = encode_config(config).encode("utf-8")
     blob += struct.pack("<I", len(cfg)) + cfg
     blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(blob))
+    write_atomic(path, bytes(blob))
 
 
 class _Reader:

@@ -18,6 +18,7 @@ from pathlib import Path
 from .checkpoint import checkpoint_hash
 from .data import SynthSpec, load_manifest, synth_generate, synth_spec_from_dict
 from .errors import ConfigError, DataError, PeftLabError, VerificationError
+from .files import write_atomic
 from .lora import LoraConfig, parse_targets
 from .report import render_series, render_table
 from .train import (
@@ -244,13 +245,10 @@ def _report_run(result, out_path, cfg: TrainConfig, backbone: str) -> None:
     manifest_path = Path(out_path).parent / (
         f"{Path(out_path).stem}_{result.mode}_{result.dataset}_{result.k_or_fraction}.manifest"
     )
-    manifest_path.write_text(
-        build_run_manifest(cfg, backbone, extra={
-            "dataset": result.dataset, "k_or_fraction": result.k_or_fraction,
-            "chosen_lr": f"{result.chosen_lr:g}",
-        }),
-        encoding="utf-8",
-    )
+    write_atomic(manifest_path, build_run_manifest(cfg, backbone, extra={
+        "dataset": result.dataset, "k_or_fraction": result.k_or_fraction,
+        "chosen_lr": f"{result.chosen_lr:g}",
+    }))
     agg = aggregate(result.test_accs())
     print(
         f"{result.mode} {result.dataset} k_or_fraction={result.k_or_fraction} "
@@ -357,7 +355,7 @@ def _cmd_report(o: _Opts) -> int:
             baseline=o.args.get("baseline"),
         )
     if o.args.get("out"):
-        Path(o.args["out"]).write_text(out, encoding="utf-8")
+        write_atomic(o.args["out"], out)
     else:
         sys.stdout.write(out)
     return 0

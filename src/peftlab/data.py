@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, InsufficientDataError
+from .files import write_atomic
 from .rng import Rng
 
 SPLITS = ("train", "val", "test")
@@ -142,7 +143,7 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
         "path,label,split",
     ]
     lines += [f"{it.path},{it.label},{it.split}" for it in manifest.items]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_manifest(path) -> DatasetManifest:

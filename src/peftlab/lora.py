@@ -2,14 +2,17 @@
 
 Each targeted d x d projection W gets an independent trainable pair
 (A: r x n, B: m x r); the adapted projection computes
-W x + gamma * B (A x) as one `tensor.lora_linear` node (two low-rank
-products plus the host product), never materializing the m x n delta on
-the training path. The backbone takes the pairs as per-block factors
-(A, B, gamma) through `ViTModel.forward`. gamma = alpha / r, recomputed
-from config on every use. A starts Kaiming-uniform (fan-in), B starts at
-exactly zero, so injection changes nothing until the first optimizer
-step. Merging folds gamma*B*A into W for inference; unmerging subtracts
-the identical recomputed quantity.
+W x + gamma * B (A x) (two low-rank products plus the host product),
+never materializing the m x n delta on the training path. The backbone
+takes the pairs as per-block factors (A, B, gamma) through
+`ViTModel.forward`, and each pair rides inside its block's
+`tensor.attention_block` node; `LoraPair.adapted_forward` runs one
+projection alone as a `tensor.lora_linear` node, with the same
+arithmetic. gamma = alpha / r, recomputed from config on every use. A
+starts Kaiming-uniform (fan-in), B starts at exactly zero, so injection
+changes nothing until the first optimizer step. Merging folds gamma*B*A
+into W for inference; unmerging subtracts the identical recomputed
+quantity.
 """
 
 from __future__ import annotations

@@ -12,21 +12,36 @@ Precision is 64-bit by default, 32-bit selectable per run ("f32").
 Elementwise broadcasting is deliberately limited to python-number
 scalars; all tensor-tensor elementwise ops require exactly equal shapes
 so every backward rule is unambiguous. The ops that take 2-D weights
-(`linear`, `lora_linear`, `mlp_block`) apply them to any stack of row
-vectors and sum the weight gradients over the leading axes.
+(`linear`, `lora_linear`, `mlp_block`, `attention_block`, `embed`) apply
+them to any stack of row vectors and sum the weight gradients over the
+leading axes.
 
-Three fused ops cover the transformer block, each one tape node with a
-hand-derived backward over intermediates it keeps from its forward:
+Five fused ops cover the model, each one tape node with a hand-derived
+backward over intermediates it keeps from its forward:
 `attention` (split heads, softmax(Q K^T / sqrt(d/H)) V, merge heads;
 q is (B, Tq, d) and k, v are (B, Tk, d), so fewer rows may query than
-supply keys and values), `lora_linear` (W x + gamma * B (A x)) and
-`mlp_block` (LN, W1, GELU, W2, residual). Their forward evaluates the
-same numpy expressions, in the same order, as the chain of primitive
-ops they replace. Every backward skips the products whose operand does
-not require grad.
+supply keys and values), `lora_linear` (W x + gamma * B (A x)),
+`mlp_block` (LN, W1, GELU, W2, residual), `attention_block` (LN, the
+Q/K/V projections, the attention core, the output projection and the
+residual, each projection plain or LoRA, on every token or with only
+the class token querying) and `embed` (patch projection, class token,
+positional embedding). One private helper implements each piece (the
+projection, the attention core, the layer norm, GELU), and the small
+fused ops and the large ones share it. A fused op's forward evaluates
+the same numpy expressions, in the same order, as the chain of
+primitive ops it replaces, and its backward accumulates in the order
+the tape would, so results are bit-identical to the chain. Every
+backward skips the products whose operand does not require grad.
+
+Gradient buffers: a backward that passes its own upstream gradient, or
+a view of it (`add`, `select`, `concat`, `reshape`, `repeat0`), has the
+first contribution copied (`_accum`); one that passes a buffer it has
+just made (a matmul or reduction result, a fresh dx) hands it over as
+the tensor's gradient without a copy (`_give`).
 
 Every op output is checked finite; a NaN/Inf raises NumericError at the
-op that produced it, which for a fused op names the fused op.
+op that produced it. A fused op also checks the intermediates the chain
+would have produced, and its error names the fused op.
 """
 
 from __future__ import annotations
@@ -212,10 +227,24 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add g, which the caller does not own, to t's gradient; a first
+    contribution is copied."""
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+    else:
+        t.grad += g
+
+
+def _give(t: Tensor, g: np.ndarray) -> None:
+    """Add g, a buffer of t's dtype that the caller has just made and
+    will not touch again, to t's gradient; a first contribution becomes
+    the gradient itself."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = g
     else:
         t.grad += g
 
@@ -284,7 +313,7 @@ def sub(a: Tensor, b) -> Tensor:
 
     def bw(g, a=a, b=b):
         _accum(a, g)
-        _accum(b, -g)
+        _give(b, -g)
 
     return _from_op("sub", a.data - b.data, (a, b), bw)
 
@@ -297,8 +326,8 @@ def mul(a: Tensor, b) -> Tensor:
     _check_same_shape(a, b, "mul")
 
     def bw(g, a=a, b=b):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        _give(a, g * b.data)
+        _give(b, g * a.data)
 
     return _from_op("mul", a.data * b.data, (a, b), bw)
 
@@ -308,7 +337,7 @@ def scale(gamma: float, x: Tensor) -> Tensor:
     g0 = x.data.dtype.type(gamma)
 
     def bw(g, x=x, g0=g0):
-        _accum(x, g * g0)
+        _give(x, g * g0)
 
     return _from_op("scale", x.data * g0, (x,), bw)
 
@@ -360,7 +389,7 @@ def gelu(x: Tensor) -> Tensor:
     def bw(g, x=x, t=t):
         d = _gelu_grad(x.data, t)
         d *= g
-        _accum(x, d)
+        _give(x, d)
 
     return _from_op("gelu", out, (x,), bw)
 
@@ -387,8 +416,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def bw(g, a=a, b=b):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+        _give(a, g @ np.swapaxes(b.data, -1, -2))
+        _give(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _from_op("matmul", out, (a, b), bw)
 
@@ -402,9 +431,62 @@ def _check_linear(x: Tensor, w: Tensor, op: str) -> None:
         raise ConfigError(f"{op}: mixed dtypes {x.data.dtype} and {w.data.dtype}")
 
 
+def _check_lora(w: Tensor, lora, op: str) -> None:
+    if lora is None:
+        return
+    a, b, _ = lora
+    m, n = w.data.shape
+    if a.data.ndim != 2 or a.data.shape[1] != n or b.data.shape != (m, a.data.shape[0]):
+        raise DimensionError(f"{op}: factors {a.shape}, {b.shape} do not fit weight {w.shape}")
+    if a.data.dtype != w.data.dtype or b.data.dtype != w.data.dtype:
+        raise ConfigError(f"{op}: factor dtypes {a.data.dtype}, {b.data.dtype} differ from {w.data.dtype}")
+
+
 def _rows(a: np.ndarray) -> np.ndarray:
     """(..., n) -> (rows, n): the stack of row vectors a weight acts on."""
     return a.reshape(-1, a.shape[-1])
+
+
+def _lora_live(lora) -> bool:
+    return lora is not None and (lora[0].requires_grad or lora[1].requires_grad)
+
+
+def _proj_fwd(x: np.ndarray, w: Tensor, lora) -> tuple[np.ndarray, np.ndarray | None]:
+    """x @ W^T, plus gamma * (x @ A^T) @ B^T when `lora` is (A, B, gamma).
+
+    Returns the product and x @ A^T (None without `lora`) for the backward.
+    """
+    out = x @ w.data.T
+    if lora is None:
+        return out, None
+    a, b, gamma = lora
+    ax = x @ a.data.T
+    low = ax @ b.data.T
+    low *= w.data.dtype.type(gamma)
+    out += low
+    return out, ax
+
+
+def _proj_bwd(g: np.ndarray, x: np.ndarray, w: Tensor, lora, ax, need_dx: bool) -> np.ndarray | None:
+    """Hands W (and A, B) their gradients; returns dx, or None unless `need_dx`."""
+    dx = None
+    if lora is not None:
+        a, b, gamma = lora
+        gs = g * w.data.dtype.type(gamma)
+        if b.requires_grad:
+            _give(b, _rows(gs).T @ _rows(ax))
+        if a.requires_grad or need_dx:
+            gax = gs @ b.data
+            if a.requires_grad:
+                _give(a, _rows(gax).T @ _rows(x))
+            if need_dx:
+                dx = g @ w.data
+                dx += gax @ a.data
+    elif need_dx:
+        dx = g @ w.data
+    if w.requires_grad:
+        _give(w, _rows(g).T @ _rows(x))
+    return dx
 
 
 @_quiet
@@ -414,19 +496,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     The weight gradient sums over all leading axes of x.
     """
     _check_linear(x, w, "linear")
-    out = x.data @ w.data.T
+    if b is not None and b.data.shape != (w.data.shape[0],):
+        raise DimensionError(f"linear: bias shape {b.shape} does not match weight {w.shape}")
+    out, _ = _proj_fwd(x.data, w, None)
     if b is not None:
-        if b.data.shape != (w.data.shape[0],):
-            raise DimensionError(f"linear: bias shape {b.shape} does not match weight {w.shape}")
         out += b.data
 
     def bw(g, x=x, w=w, b=b):
-        if x.requires_grad:
-            _accum(x, g @ w.data)
-        if w.requires_grad:
-            _accum(w, _rows(g).T @ _rows(x.data))
+        dx = _proj_bwd(g, x.data, w, None, None, x.requires_grad)
+        if dx is not None:
+            _give(x, dx)
         if b is not None and b.requires_grad:
-            _accum(b, _rows(g).sum(axis=0))
+            _give(b, _rows(g).sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
     return _from_op("linear", out, parents, bw)
@@ -440,34 +521,62 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, gamma: float) -> Ten
     low-rank side path (LoRA). The m x n delta B A is never formed.
     """
     _check_linear(x, w, "lora_linear")
-    m, n = w.data.shape
-    if a.data.ndim != 2 or a.data.shape[1] != n or b.data.shape != (m, a.data.shape[0]):
-        raise DimensionError(f"lora_linear: factors {a.shape}, {b.shape} do not fit weight {w.shape}")
-    if a.data.dtype != w.data.dtype or b.data.dtype != w.data.dtype:
-        raise ConfigError(f"lora_linear: factor dtypes {a.data.dtype}, {b.data.dtype} differ from {w.data.dtype}")
-    g0 = w.data.dtype.type(gamma)
-    out = x.data @ w.data.T
-    ax = x.data @ a.data.T
-    low = ax @ b.data.T
-    low *= g0
-    out += low
+    lora = (a, b, gamma)
+    _check_lora(w, lora, "lora_linear")
+    out, ax = _proj_fwd(x.data, w, lora)
 
-    def bw(g, x=x, w=w, a=a, b=b, ax=ax, g0=g0):
-        gs = g * g0
-        if b.requires_grad:
-            _accum(b, _rows(gs).T @ _rows(ax))
-        if a.requires_grad or x.requires_grad:
-            gax = gs @ b.data
-            if a.requires_grad:
-                _accum(a, _rows(gax).T @ _rows(x.data))
-            if x.requires_grad:
-                dx = g @ w.data
-                dx += gax @ a.data
-                _accum(x, dx)
-        if w.requires_grad:
-            _accum(w, _rows(g).T @ _rows(x.data))
+    def bw(g, x=x, w=w, lora=lora, ax=ax):
+        dx = _proj_bwd(g, x.data, w, lora, ax, x.requires_grad)
+        if dx is not None:
+            _give(x, dx)
 
     return _from_op("lora_linear", out, (x, w, a, b), bw)
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(B, T, d) -> (B, H, T, d/H) view."""
+    return a.reshape(a.shape[0], a.shape[1], heads, a.shape[2] // heads).transpose(0, 2, 1, 3)
+
+
+def _merged_matmul(a: np.ndarray, b: np.ndarray, like: np.ndarray, heads: int) -> np.ndarray:
+    """Per-head a @ b, written straight into a new buffer shaped like `like`."""
+    out = np.empty_like(like)
+    np.matmul(a, b, out=_split_heads(out, heads))
+    return out
+
+
+def _attn_scale(q: np.ndarray, heads: int):
+    return q.dtype.type(1.0 / math.sqrt(q.shape[2] / heads))
+
+
+def _attn_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """The merged heads' softmax(Q K^T / sqrt(d/H)) V, and the softmax weights."""
+    # a contiguous K^T keeps the scores bit-equal to the unfused matmul
+    y = _split_heads(q, heads) @ np.ascontiguousarray(_split_heads(k, heads).transpose(0, 1, 3, 2))
+    y *= _attn_scale(q, heads)
+    _softmax_inplace(y)
+    return _merged_matmul(y, _split_heads(v, heads), q, heads), y
+
+
+def _attn_bwd(g, q, k, v, y, heads: int, need_q: bool, need_k: bool, need_v: bool):
+    """(dq, dk, dv) of the attention core; None for each one not needed."""
+    g4 = _split_heads(g, heads)
+    dq = dk = dv = None
+    if need_v:
+        dv = _merged_matmul(y.transpose(0, 1, 3, 2), g4, v, heads)
+    if need_q or need_k:
+        ds = _softmax_grad_inplace(g4 @ _split_heads(v, heads).transpose(0, 1, 3, 2), y)
+        ds *= _attn_scale(q, heads)
+        if need_q:
+            dq = _merged_matmul(ds, _split_heads(k, heads), q, heads)
+        if need_k:
+            dk = _merged_matmul(ds.transpose(0, 1, 3, 2), _split_heads(q, heads), k, heads)
+    return dq, dk, dv
+
+
+def _check_heads(d: int, heads: int, op: str) -> None:
+    if heads < 1 or d % heads:
+        raise DimensionError(f"{op}: width {d} does not split into {heads} heads")
 
 
 @_quiet
@@ -490,40 +599,142 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         raise DimensionError(f"attention: keys {k.shape} do not fit queries {q.shape}")
     if q.data.dtype != k.data.dtype:
         raise ConfigError(f"attention: mixed dtypes {q.data.dtype} and {k.data.dtype}")
-    d = q.data.shape[2]
-    if heads < 1 or d % heads:
-        raise DimensionError(f"attention: width {d} does not split into {heads} heads")
-    dh = d // heads
-    c = q.data.dtype.type(1.0 / math.sqrt(d / heads))
-
-    def split(a):  # (B, T, d) -> (B, H, T, d/H) view
-        return a.reshape(a.shape[0], a.shape[1], heads, dh).transpose(0, 2, 1, 3)
-
-    def merged_matmul(a, b, like):  # per-head a @ b, written straight into a buffer like `like`
-        out = np.empty_like(like)
-        np.matmul(a, b, out=split(out))
-        return out
-
-    q4, v4 = split(q.data), split(v.data)
-    # a contiguous K^T keeps the scores bit-equal to the unfused matmul
-    y = q4 @ np.ascontiguousarray(split(k.data).transpose(0, 1, 3, 2))
-    y *= c
-    _softmax_inplace(y)
-    out = merged_matmul(y, v4, q.data)
+    _check_heads(q.data.shape[2], heads, "attention")
+    out, y = _attn_fwd(q.data, k.data, v.data, heads)
 
     def bw(g, q=q, k=k, v=v, y=y):
-        q4, k4, v4, g4 = split(q.data), split(k.data), split(v.data), split(g)
-        if v.requires_grad:
-            _accum(v, merged_matmul(y.transpose(0, 1, 3, 2), g4, v.data))
-        if q.requires_grad or k.requires_grad:
-            ds = _softmax_grad_inplace(g4 @ v4.transpose(0, 1, 3, 2), y)
-            ds *= c
-            if q.requires_grad:
-                _accum(q, merged_matmul(ds, k4, q.data))
-            if k.requires_grad:
-                _accum(k, merged_matmul(ds.transpose(0, 1, 3, 2), q4, k.data))
+        dq, dk, dv = _attn_bwd(g, q.data, k.data, v.data, y, heads,
+                               q.requires_grad, k.requires_grad, v.requires_grad)
+        for t, d in ((v, dv), (q, dq), (k, dk)):
+            if d is not None:
+                _give(t, d)
 
     return _from_op("attention", out, (q, k, v), bw)
+
+
+@_quiet
+def attention_block(x: Tensor, ln_g: Tensor, ln_b: Tensor, weights: Sequence[Tensor], heads: int,
+                    lora: Sequence | None = None, cls_only: bool = False) -> Tensor:
+    """Pre-norm multi-head self-attention sub-block, one tape node:
+    x + Wo attention(Wq h, Wk h, Wv h), with h = LN(x).
+
+    x is (B, T, d); `weights` is (Wq, Wk, Wv, Wo), each (d, d). `lora`,
+    when given, holds one entry per weight, None or LoRA factors
+    (A, B, gamma), and an adapted projection is W h + gamma * B (A h).
+    With `cls_only`, every token gives keys and values, but only the
+    class token (row 0) queries and takes the residual: the result is
+    (B, 1, d). The intermediates stay inside the op; the backward adds
+    the three projections' input gradients in the tape's order,
+    (q + k) + v, before the layer norm's backward.
+    """
+    name = "attention_block"
+    if x.data.ndim != 3:
+        raise DimensionError(f"{name} expects (B,T,d) tokens, got {x.shape}")
+    _check_norm(x, ln_g, ln_b, name)
+    lora = tuple(lora) if lora is not None else (None,) * 4
+    if len(weights) != 4 or len(lora) != 4:
+        raise DimensionError(f"{name}: needs the query, key, value and output weights")
+    for w, factors in zip(weights, lora):
+        _check_linear(x, w, name)
+        if w.data.shape[0] != x.data.shape[2]:
+            raise DimensionError(f"{name}: projection {w.shape} does not keep width {x.shape[2]}")
+        _check_lora(w, factors, name)
+    _check_heads(x.data.shape[2], heads, name)
+    wq, wk, wv, wo = weights
+    lq, lk, lv, lo = lora
+
+    h, xhat, inv = _norm_fwd(x.data, ln_g.data, ln_b.data, _NORM_EPS)
+    _check_finite(h, name)
+    k, ax_k = _proj_fwd(h, wk, lk)
+    _check_finite(k, name)
+    v, ax_v = _proj_fwd(h, wv, lv)
+    _check_finite(v, name)
+    # the class-token rows as contiguous copies, as `select` takes them
+    xq, hq = (x.data[:, :1].copy(), h[:, :1].copy()) if cls_only else (x.data, h)
+    q, ax_q = _proj_fwd(hq, wq, lq)
+    _check_finite(q, name)
+    ctx, y = _attn_fwd(q, k, v, heads)
+    _check_finite(ctx, name)
+    out, ax_o = _proj_fwd(ctx, wo, lo)
+    _check_finite(out, name)
+    out += xq
+
+    h_live = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
+    q_live, k_live, v_live = (h_live or w.requires_grad or _lora_live(f)
+                              for w, f in ((wq, lq), (wk, lk), (wv, lv)))
+
+    def bw(g):
+        dctx = _proj_bwd(g, ctx, wo, lo, ax_o, q_live or k_live or v_live)
+        if dctx is None:
+            return
+        dq, dk, dv = _attn_bwd(dctx, q, k, v, y, heads, q_live, k_live, v_live)
+        dhq, dhk, dhv = (None if d is None else _proj_bwd(d, hin, w, f, ax, h_live)
+                         for d, hin, w, f, ax in ((dq, hq, wq, lq, ax_q), (dk, h, wk, lk, ax_k),
+                                                  (dv, h, wv, lv, ax_v)))
+        if not h_live:
+            return
+        # the tape's order: q's part (in select's zeros with cls_only), then k's, then v's
+        dh = _row0_of_zeros(dhq, h) if cls_only else dhq
+        dh += dhk
+        dh += dhv
+        dx = _norm_bwd(dh, x, ln_g, ln_b, xhat, inv)
+        if dx is not None:
+            dx += _row0_of_zeros(g, x.data) if cls_only else g
+            _give(x, dx)
+
+    parents = (x, ln_g, ln_b, *weights) + tuple(t for f in lora if f is not None for t in f[:2])
+    return _from_op(name, out, parents, bw)
+
+
+def _row0_of_zeros(g: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Zeros shaped like `like` with g in token row 0: `select`'s backward."""
+    full = np.zeros_like(like)
+    full[:, :1] = g
+    return full
+
+
+@_quiet
+def embed(patches: Tensor, w: Tensor, b: Tensor, cls_token: Tensor, pos_embed: Tensor) -> Tensor:
+    """Token embedding, one tape node: the class token followed by the
+    projected patches, plus the positional embedding.
+
+    patches is (B, P, n), W (d, n), b (d,), cls_token (1, d) and
+    pos_embed (P + 1, d); the result is (B, P + 1, d), row 0 the class
+    token. The gradients sum over the batch.
+    """
+    name = "embed"
+    if patches.data.ndim != 3:
+        raise DimensionError(f"{name} expects (B,P,n) patches, got {patches.shape}")
+    _check_linear(patches, w, name)
+    nb, npatch, _ = patches.data.shape
+    d = w.data.shape[0]
+    for t, shape in ((b, (d,)), (cls_token, (1, d)), (pos_embed, (npatch + 1, d))):
+        if t.data.shape != shape:
+            raise DimensionError(f"{name}: got {t.shape} where {shape} fits weight {w.shape}")
+        if t.data.dtype != w.data.dtype:
+            raise ConfigError(f"{name}: mixed dtypes {w.data.dtype} and {t.data.dtype}")
+    tok, _ = _proj_fwd(patches.data, w, None)
+    tok += b.data
+    _check_finite(tok, name)
+    out = np.empty((nb, npatch + 1, d), dtype=tok.dtype)
+    out[:, :1] = cls_token.data
+    out[:, 1:] = tok
+    out += pos_embed.data
+
+    def bw(g, patches=patches, w=w, b=b, cls_token=cls_token, pos_embed=pos_embed):
+        if cls_token.requires_grad:
+            _give(cls_token, g[:, :1].copy().sum(axis=0))
+        if pos_embed.requires_grad:
+            _give(pos_embed, g.sum(axis=0))
+        if patches.requires_grad or w.requires_grad or b.requires_grad:
+            gt = g[:, 1:].copy()
+            dp = _proj_bwd(gt, patches.data, w, None, None, patches.requires_grad)
+            if dp is not None:
+                _give(patches, dp)
+            if b.requires_grad:
+                _give(b, _rows(gt).sum(axis=0))
+
+    return _from_op(name, out, (patches, w, b, cls_token, pos_embed), bw)
 
 
 # -- shape ops ------------------------------------------------------------
@@ -602,7 +813,7 @@ def repeat0(x: Tensor, n: int) -> Tensor:
 @_quiet
 def tsum(x: Tensor) -> Tensor:
     def bw(g, x=x):
-        _accum(x, np.full_like(x.data, g))
+        _give(x, np.full_like(x.data, g))
 
     return _from_op("sum", np.asarray(x.data.sum(), dtype=x.data.dtype), (x,), bw)
 
@@ -612,7 +823,7 @@ def tmean(x: Tensor) -> Tensor:
     n = x.data.size
 
     def bw(g, x=x, n=n):
-        _accum(x, np.full_like(x.data, g / n))
+        _give(x, np.full_like(x.data, g / n))
 
     return _from_op("mean", np.asarray(x.data.mean(), dtype=x.data.dtype), (x,), bw)
 
@@ -649,9 +860,9 @@ def _norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
 def _norm_bwd(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor, xhat, inv) -> np.ndarray | None:
     """Accumulates the gain/bias gradients; returns dx, or None if x is frozen."""
     if gain.requires_grad:
-        _accum(gain, _rows(g * xhat).sum(axis=0))
+        _give(gain, _rows(g * xhat).sum(axis=0))
     if bias.requires_grad:
-        _accum(bias, _rows(g).sum(axis=0))
+        _give(bias, _rows(g).sum(axis=0))
     if not x.requires_grad:
         return None
     dxhat = g * gain.data
@@ -674,7 +885,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) ->
     def bw(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
         dx = _norm_bwd(g, x, gain, bias, xhat, inv)
         if dx is not None:
-            _accum(x, dx)
+            _give(x, dx)
 
     return _from_op("layer_norm", out, (x, gain, bias), bw)
 
@@ -703,22 +914,22 @@ def mlp_block(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor,
 
     def bw(g, x=x, ln_g=ln_g, ln_b=ln_b, w1=w1, b1=b1, w2=w2, b2=b2):
         if w2.requires_grad:
-            _accum(w2, _rows(g).T @ _rows(hg))
+            _give(w2, _rows(g).T @ _rows(hg))
         if b2.requires_grad:
-            _accum(b2, _rows(g).sum(axis=0))
+            _give(b2, _rows(g).sum(axis=0))
         if not any(p.requires_grad for p in (x, ln_g, ln_b, w1, b1)):
             return
         da1 = g @ w2.data
         da1 *= _gelu_grad(a1, t)
         if w1.requires_grad:
-            _accum(w1, _rows(da1).T @ _rows(hn))
+            _give(w1, _rows(da1).T @ _rows(hn))
         if b1.requires_grad:
-            _accum(b1, _rows(da1).sum(axis=0))
+            _give(b1, _rows(da1).sum(axis=0))
         if x.requires_grad or ln_g.requires_grad or ln_b.requires_grad:
             dx = _norm_bwd(da1 @ w1.data, x, ln_g, ln_b, xhat, inv)
             if dx is not None:
                 dx += g
-                _accum(x, dx)
+                _give(x, dx)
 
     return _from_op("mlp_block", out, (x, ln_g, ln_b, w1, b1, w2, b2), bw)
 
@@ -745,7 +956,7 @@ def softmax(x: Tensor) -> Tensor:
     y = _softmax_inplace(x.data.copy())
 
     def bw(g, x=x, y=y):
-        _accum(x, _softmax_grad_inplace(g.copy(), y))
+        _give(x, _softmax_grad_inplace(g.copy(), y))
 
     return _from_op("softmax", y, (x,), bw)
 
@@ -778,7 +989,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         ee = np.exp(zz)
         sm = ee / ee.sum(axis=-1, keepdims=True)
         sm[np.arange(nb), lab] -= 1.0
-        _accum(logits, sm * (g / nb))
+        _give(logits, sm * (g / nb))
 
     return _from_op("softmax_cross_entropy", loss, (logits,), bw)
 

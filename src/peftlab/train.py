@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     VerificationError,
 )
+from .files import write_atomic
 from .head import LinearHead, top1_accuracy
 from .lora import LoraConfig, inject
 from .optim import AdamW
@@ -507,7 +508,7 @@ def append_results(path, rows: list[ResultRow]) -> int:
         lines.append(r.to_csv())
         added += 1
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
     return added
 
 

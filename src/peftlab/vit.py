@@ -6,6 +6,10 @@ is a single d x d matrix so a low-rank delta attaches cleanly); the MLP
 keeps its biases. The "tiny" preset trains at desk scale; "B16-shape"
 and "L14-shape" exist only for parameter accounting.
 
+A block is two tape nodes, `T.attention_block` and `T.mlp_block`, and
+the token embedding is one, `T.embed`; their intermediates never become
+graph tensors.
+
 Only the class token is read out, so the last block updates only the
 class token (as in CaiT's class-attention layers): every token goes
 through LN1 and the key and value projections, but the query, the
@@ -149,36 +153,22 @@ class AttentionBlock:
 
 def attention_forward(block: AttentionBlock, tokens: Tensor, heads: int, adapters=None,
                       cls_only: bool = False) -> Tensor:
-    """Pre-norm multi-head self-attention sub-block: x + Wo attn(LN(x)).
+    """Pre-norm multi-head self-attention sub-block: x + Wo attn(LN(x)),
+    one `T.attention_block` node.
 
-    Scores are softmax(Q K^T / sqrt(d/H)) per head (one `T.attention`
-    node); heads are concatenated and projected by the output matrix.
-    `adapters` maps a projection target ("query", ...) to LoRA factors
-    (A, B, gamma); such a projection is W x + gamma * B (A x), one
-    `T.lora_linear` node, and every other projection is `T.linear`.
-    With `cls_only`, every token still gives keys and values, but only
-    the class token (row 0) queries and is updated: the result has one
-    token row.
+    Scores are softmax(Q K^T / sqrt(d/H)) per head; heads are
+    concatenated and projected by the output matrix. `adapters` maps a
+    projection target ("query", ...) to LoRA factors (A, B, gamma); such
+    a projection is W x + gamma * B (A x), and every other projection is
+    plain. With `cls_only`, every token still gives keys and values, but
+    only the class token (row 0) queries and is updated: the result has
+    one token row.
     """
     squeeze = tokens.data.ndim == 2
     x = T.reshape(tokens, (1,) + tokens.shape) if squeeze else tokens
-    if x.data.ndim != 3:
-        raise DimensionError(f"attention expects (T,d) or (B,T,d), got {tokens.shape}")
-    d = block.Wq.shape[0]
-    if x.shape[-1] != d:
-        raise DimensionError(f"token width {x.shape[-1]} does not match block width {d}")
-
-    def project(target: str, h: Tensor) -> Tensor:
-        w = block.proj_weight(target)
-        factors = adapters.get(target) if adapters else None
-        return T.linear(h, w) if factors is None else T.lora_linear(h, w, *factors)
-
-    h = T.layer_norm(x, block.ln1_g, block.ln1_b)
-    k, v = project("key", h), project("value", h)
-    if cls_only:
-        x, h = T.select(x, 1, slice(0, 1)), T.select(h, 1, slice(0, 1))
-    ctx = T.attention(project("query", h), k, v, heads)
-    res = T.add(x, project("output", ctx))
+    weights = [block.proj_weight(t) for t in TARGETS]
+    lora = [adapters.get(t) for t in TARGETS] if adapters else None
+    res = T.attention_block(x, block.ln1_g, block.ln1_b, weights, heads, lora, cls_only)
     return T.reshape(res, res.shape[1:]) if squeeze else res
 
 
@@ -282,11 +272,7 @@ class ViTModel:
         class token only, since nothing reads its patch tokens.
         """
         cfg = self.config
-        b = patches.shape[0]
-        tok = T.linear(patches, self.patch_W, self.patch_b)
-        cls = T.repeat0(self.cls_token, b)
-        x = T.concat([cls, tok], axis=1)
-        x = T.add(x, T.repeat0(self.pos_embed, b))
+        x = T.embed(patches, self.patch_W, self.patch_b, self.cls_token, self.pos_embed)
         last = len(self.blocks) - 1
         for i, blk in enumerate(self.blocks):
             factors = adapters[i] if adapters else None

@@ -5,8 +5,11 @@ import pytest
 
 from peftlab import tensor as T
 from peftlab.errors import ConfigError, DimensionError
+from peftlab.head import LinearHead
+from peftlab.lora import LoraConfig, inject
 from peftlab.rng import Rng
 from peftlab.tensor import Tensor, grad_check, op_trace
+from peftlab.train import _fit
 from peftlab.vit import (
     PRESETS,
     TARGETS,
@@ -189,29 +192,53 @@ def unfused_block(blk, x, heads, adapters):
     return T.add(x, T.linear(h, blk.mlp_W2, blk.mlp_b2))
 
 
+def chain_block(blk, x, heads, adapters, cls_only=False):
+    """`block_forward` with its attention sub-block as the chain of ops that
+    `T.attention_block` replaces: layer norm, plain or LoRA projections, the
+    class-token selects, the attention core and the residual add."""
+
+    def project(target, h):
+        w = blk.proj_weight(target)
+        factors = adapters.get(target)
+        return T.linear(h, w) if factors is None else T.lora_linear(h, w, *factors)
+
+    h = T.layer_norm(x, blk.ln1_g, blk.ln1_b)
+    k, v = project("key", h), project("value", h)
+    if cls_only:
+        x, h = T.select(x, 1, slice(0, 1)), T.select(h, 1, slice(0, 1))
+    x = T.add(x, project("output", T.attention(project("query", h), k, v, heads)))
+    return T.mlp_block(x, blk.ln2_g, blk.ln2_b, blk.mlp_W1, blk.mlp_b1, blk.mlp_W2, blk.mlp_b2)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # signed zeros too
+
+
 # (LoRA targets, backbone trainable, input requires grad): pretraining; block 0 of
 # a LoRA run (frozen input); a later LoRA block with every projection adapted
 BLOCK_CASES = [((), True, True), (("query", "value"), False, False),
                (("query", "key", "value", "output"), False, True)]
 
 
-def block_setup(targets, backbone_trainable, input_grad, seed=0):
+def block_setup(targets, backbone_trainable, input_grad, seed=0, precision="f64"):
     cfg = ViTConfig(image_size=16, patch_size=8, channels=1, dim=4, depth=1, heads=2, mlp_ratio=2)
-    model = ViTModel.init(cfg, seed=seed)
+    model = ViTModel.init(cfg, seed=seed, precision=precision)
     rng = Rng(seed + 1)
     for p in model.parameters().values():  # weights big enough that every path matters
         p.data[...] = rng.normal(p.shape, std=0.5)
     model.set_trainable(backbone_trainable)
-    adapters = {t: (Tensor(rng.normal((2, 4)), requires_grad=True),
-                    Tensor(rng.normal((4, 2)), requires_grad=True), 0.5) for t in targets}
-    x = Tensor(rng.normal((2, 3, 4)), requires_grad=input_grad)
+    adapters = {t: (Tensor(rng.normal((2, 4)), requires_grad=True, dtype=precision),
+                    Tensor(rng.normal((4, 2)), requires_grad=True, dtype=precision), 0.5) for t in targets}
+    x = Tensor(rng.normal((2, 3, 4)), requires_grad=input_grad, dtype=precision)
     live = [p for p in model.blocks[0].named().values() if p.requires_grad]
     live += [f for a, b, _ in adapters.values() for f in (a, b)] + ([x] if input_grad else [])
     return model.blocks[0], x, adapters, live
 
 
 def weighted_sum(out):
-    return T.tsum(T.mul(out, Tensor(Rng(99).normal(out.shape))))
+    return T.tsum(T.mul(out, Tensor(Rng(99).normal(out.shape), dtype=out.dtype)))
 
 
 @pytest.mark.parametrize("targets,backbone_trainable,input_grad", BLOCK_CASES)
@@ -227,12 +254,52 @@ def test_block_matches_unfused_chain(targets, backbone_trainable, input_grad):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("cls_only", [False, True])
 @pytest.mark.parametrize("targets,backbone_trainable,input_grad", BLOCK_CASES)
-def test_block_grad_check(targets, backbone_trainable, input_grad):
+def test_block_is_bit_equal_to_op_chain(targets, backbone_trainable, input_grad, cls_only, precision):
+    results = []
+    for forward in (block_forward, chain_block):
+        blk, x, adapters, live = block_setup(targets, backbone_trainable, input_grad, precision=precision)
+        out = forward(blk, x, 2, adapters, cls_only=cls_only)
+        weighted_sum(out).backward()
+        results.append([out.data] + [p.grad for p in live])
+    for got, want in zip(*results):
+        assert_same_bits(got, want)
+
+
+def test_class_token_block_keeps_the_chains_signed_zeros():
+    # A zero LN1 gain makes the layer norm's input gradient +-0. The chain adds it
+    # to the zeros of `select`'s backward, and 0 + -0 is +0.
+    grads = []
+    for forward in (block_forward, chain_block):
+        blk, x, adapters, _ = block_setup(("query", "value"), False, True)
+        blk.ln1_g.data[...] = 0.0
+        weighted_sum(forward(blk, x, 2, adapters, cls_only=True)).backward()
+        grads.append(x.grad)
+    assert (grads[1][:, 1:] == 0).all()
+    assert_same_bits(*grads)
+
+
+def block_grad_check(targets, backbone_trainable, input_grad, cls_only):
     blk, x, adapters, live = block_setup(targets, backbone_trainable, input_grad, seed=7)
-    assert grad_check(lambda: weighted_sum(block_forward(blk, x, 2, adapters)), live, eps=1e-4) < 1e-6
+
+    def f():
+        return weighted_sum(block_forward(blk, x, 2, adapters, cls_only=cls_only))
+
+    assert grad_check(f, live, eps=1e-4) < 1e-6
     frozen = [p for p in blk.named().values() if not p.requires_grad] + ([] if input_grad else [x])
     assert all(p.grad is None for p in frozen)
+
+
+@pytest.mark.parametrize("targets,backbone_trainable,input_grad", BLOCK_CASES)
+def test_block_grad_check(targets, backbone_trainable, input_grad):
+    block_grad_check(targets, backbone_trainable, input_grad, cls_only=False)
+
+
+@pytest.mark.parametrize("targets,backbone_trainable,input_grad", BLOCK_CASES)
+def test_class_token_block_grad_check(targets, backbone_trainable, input_grad):
+    block_grad_check(targets, backbone_trainable, input_grad, cls_only=True)
 
 
 # -- backbone forward -----------------------------------------------------------
@@ -251,14 +318,22 @@ def test_forward_deterministic_and_batch_consistent():
     np.testing.assert_array_equal(zb.data[0], z1.data)
 
 
-def all_token_forward(model, images, adapters):
-    """`ViTModel.forward` with every block on every token, then the class-token readout."""
-    b = images.shape[0]
-    patches = Tensor(patchify(images, model.config.patch_size))
-    x = T.concat([T.repeat0(model.cls_token, b), T.linear(patches, model.patch_W, model.patch_b)], axis=1)
-    x = T.add(x, T.repeat0(model.pos_embed, b))
-    for blk, factors in zip(model.blocks, adapters):
-        x = block_forward(blk, x, model.config.heads, factors)
+def model_forward(model, images, adapters, fused=True, cls_only=True):
+    """`ViTModel.forward` from the fused ops, or from the chain of ops they
+    replace (the embedding as linear, repeat0, concat, repeat0, add), with
+    the last block on the class token only or on every token."""
+    b, cfg = images.shape[0], model.config
+    patches = Tensor(patchify(images.astype(model.dtype), cfg.patch_size))
+    if fused:
+        x = T.embed(patches, model.patch_W, model.patch_b, model.cls_token, model.pos_embed)
+    else:
+        x = T.concat([T.repeat0(model.cls_token, b), T.linear(patches, model.patch_W, model.patch_b)],
+                     axis=1)
+        x = T.add(x, T.repeat0(model.pos_embed, b))
+    block = block_forward if fused else chain_block
+    last = len(model.blocks) - 1
+    for i, (blk, factors) in enumerate(zip(model.blocks, adapters)):
+        x = block(blk, x, cfg.heads, factors, cls_only=cls_only and i == last)
     return T.select(T.layer_norm(x, model.final_g, model.final_b), axis=1, index=0)
 
 
@@ -267,30 +342,76 @@ def all_token_forward(model, images, adapters):
 FORWARD_CASES = [((), False), (("query", "value"), False), (TARGETS, False), ((), True)]
 
 
+def forward_gradients(forward, targets, backbone_trainable, precision="f64"):
+    """[z] + every live gradient of a weighted sum of z, on the tiny preset."""
+    model = ViTModel.init(TINY, seed=20, precision=precision)
+    rng = Rng(21)
+    # weights big enough that every path matters: near-uniform attention would leave
+    # the last block's q/k gradients small next to their rounding
+    for p in model.parameters().values():
+        p.data[...] = rng.normal(p.shape, std=0.5)
+    model.set_trainable(backbone_trainable)
+    adapters = [{t: (Tensor(rng.normal((2, TINY.dim)), requires_grad=True, dtype=precision),
+                     Tensor(rng.normal((TINY.dim, 2)), requires_grad=True, dtype=precision), 0.5)
+                 for t in targets}
+                for _ in model.blocks]
+    live = [p for p in model.parameters().values() if p.requires_grad]
+    live += [f for factors in adapters for a, b, _ in factors.values() for f in (a, b)]
+    z = forward(model, Rng(22).uniform((3, 1, 32, 32)), adapters)
+    if live:
+        weighted_sum(z).backward()
+    assert all(p.grad is not None for p in live)
+    return [z.data] + [p.grad for p in live]
+
+
 @pytest.mark.parametrize("targets,backbone_trainable", FORWARD_CASES)
 def test_forward_matches_all_token_reference(targets, backbone_trainable):
-    results = []
-    for reference in (False, True):
-        model = ViTModel.init(TINY, seed=20)
-        rng = Rng(21)
-        # weights big enough that every path matters: near-uniform attention would leave
-        # the last block's q/k gradients small next to their rounding
-        for p in model.parameters().values():
-            p.data[...] = rng.normal(p.shape, std=0.5)
-        model.set_trainable(backbone_trainable)
-        adapters = [{t: (Tensor(rng.normal((2, TINY.dim)), requires_grad=True),
-                         Tensor(rng.normal((TINY.dim, 2)), requires_grad=True), 0.5) for t in targets}
-                    for _ in model.blocks]
-        live = [p for p in model.parameters().values() if p.requires_grad]
-        live += [f for factors in adapters for a, b, _ in factors.values() for f in (a, b)]
-        images = Rng(22).uniform((3, 1, 32, 32))
-        z = all_token_forward(model, images, adapters) if reference else model.forward(images, adapters)
-        if live:
-            weighted_sum(z).backward()
-        assert all(p.grad is not None for p in live)
-        results.append([z.data] + [p.grad for p in live])
-    for got, want in zip(*results):
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    got = forward_gradients(ViTModel.forward, targets, backbone_trainable)
+    want = forward_gradients(lambda *args: model_forward(*args, cls_only=False), targets, backbone_trainable)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("cls_only", [False, True])
+@pytest.mark.parametrize("targets,backbone_trainable", FORWARD_CASES)
+def test_forward_is_bit_equal_to_op_chain(targets, backbone_trainable, cls_only, precision):
+    forwards = [lambda *args: model_forward(*args, fused=fused, cls_only=cls_only) for fused in (True, False)]
+    if cls_only:
+        forwards.append(ViTModel.forward)
+    results = [forward_gradients(f, targets, backbone_trainable, precision) for f in forwards]
+    for other in results[1:]:
+        for got, want in zip(results[0], other):
+            assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("lora_targets", [None, TARGETS])
+def test_training_is_bit_equal_to_op_chain(lora_targets):
+    # 20 steps of the training loop, pretraining every weight or LoRA on q,k,v,o
+    runs = []
+    for fused in (True, False):
+        model = ViTModel.init(TINY, seed=30)
+        head = LinearHead(5, TINY.dim)
+        adapters = [{} for _ in model.blocks]
+        if lora_targets is None:
+            backbone, trainable = model, list(model.parameters().values())
+        else:
+            backbone = inject(model, LoraConfig(rank=2, targets=lora_targets, init_seed=31))
+            trainable = list(backbone.trainable_parameters().values())
+            for (i, target), pair in backbone.pairs.items():
+                adapters[i][target] = pair.factors()
+        trainable += list(head.parameters().values())
+
+        def forward(batch, fused=fused, backbone=backbone, model=model, adapters=adapters, head=head):
+            z = backbone.forward(batch) if fused else model_forward(model, batch, adapters, fused=False)
+            return head.forward(z)
+
+        images, labels = Rng(32).uniform((40, 1, 32, 32)), np.arange(40) % 5
+        curve = _fit(forward, trainable, images, labels, lr=1e-2, seed=33, steps=20, batch_size=8,
+                     weight_decay=1e-2, schedule="cosine")
+        runs.append([np.array(curve)] + [p.data.copy() for p in trainable])
+    for got, want in zip(*runs):
+        assert_same_bits(got, want)
 
 
 def test_last_block_updates_the_class_token_only():
@@ -298,7 +419,7 @@ def test_last_block_updates_the_class_token_only():
     with op_trace() as ops:
         model.forward(Rng(24).uniform((3, 1, 32, 32)))
     full, cls = (3, TINY.num_tokens, TINY.dim), (3, 1, TINY.dim)
-    for name in ("attention", "mlp_block"):
+    for name in ("attention_block", "mlp_block"):
         assert [shape for op, shape in ops if op == name] == [full] * (TINY.depth - 1) + [cls]
 
 
