@@ -3,8 +3,8 @@
 Subcommands: synth, pretrain, probe, lora, sweep, scale, verify, report.
 Every flag can also come from a flat key=value config file passed with
 --config; explicit flags win over file values, which win over defaults.
-Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric error,
-5 verification failure.
+Exit codes: 0 ok, 2 config error, 3 data error (a file that cannot be
+read or written included), 4 numeric error, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -110,6 +110,9 @@ def _bool(s) -> bool:
     return str(s).lower() in ("1", "true", "yes", "on")
 
 
+_CELL_PRECISION_HELP = "default f32; f64 is the bit-exact reference"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="peftlab")
     sub = p.add_subparsers(dest="command", required=True)
@@ -130,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--lr", type=float)
     sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--precision", choices=["f64", "f32"])
+    sp.add_argument("--precision", choices=["f64", "f32"], help="default f64")
     sp.add_argument("--preset", default=None)
     sp.add_argument("--out", required=True)
 
@@ -145,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--steps", type=int)
         sp.add_argument("--epochs", type=int)
         sp.add_argument("--batch-size", type=int)
-        sp.add_argument("--precision", choices=["f64", "f32"])
+        sp.add_argument("--precision", choices=["f64", "f32"], help=_CELL_PRECISION_HELP)
         sp.add_argument("--val", choices=["fewshot", "full"])
         sp.add_argument("--dataset-name")
         sp.add_argument("--out", required=True)
@@ -167,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lr-grid")
     sp.add_argument("--steps", type=int)
     sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--precision", choices=["f64", "f32"])
+    sp.add_argument("--precision", choices=["f64", "f32"], help=_CELL_PRECISION_HELP)
     sp.add_argument("--val", choices=["fewshot", "full"])
     sp.add_argument("--rank", type=int)
     sp.add_argument("--targets")
@@ -185,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lr-grid")
     sp.add_argument("--epochs", type=int)
     sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--precision", choices=["f64", "f32"])
+    sp.add_argument("--precision", choices=["f64", "f32"], help=_CELL_PRECISION_HELP)
     sp.add_argument("--rank", type=int)
     sp.add_argument("--targets")
     sp.add_argument("--alpha", type=float)
@@ -225,7 +228,7 @@ def _train_config(o: _Opts, mode: str) -> TrainConfig:
         max_steps=o.get("steps", None, int),
         epochs=o.get("epochs", 20, int),
         seeds=o.get("seeds", DEFAULT_SEEDS, _parse_ints),
-        precision=o.get("precision", "f64"),
+        precision=o.get("precision", "f32"),
         lora=lora_cfg,
         val_mode=o.get("val", "fewshot"),
         cache_features=not o.get("no-cache", False, _bool),
@@ -240,11 +243,30 @@ def _parse_seeds_grid(o: _Opts) -> None:
         o.args["lr_grid"] = _parse_floats(o.args["lr_grid"])
 
 
+def _manifest_precision(path: Path) -> str | None:
+    """The precision a cell's existing run manifest records, or None."""
+    if not path.exists():
+        return None
+    for line in path.read_text(encoding="utf-8").splitlines():
+        key, _, value = line.partition("=")
+        if key == "precision":
+            return value
+    return None
+
+
 def _report_run(result, out_path, cfg: TrainConfig, backbone: str) -> None:
-    added = append_results(out_path, result_rows(result))
     manifest_path = Path(out_path).parent / (
         f"{Path(out_path).stem}_{result.mode}_{result.dataset}_{result.k_or_fraction}.manifest"
     )
+    # the results key has no precision: rows of the other precision would be
+    # dropped as duplicates, and the manifest would no longer describe the file
+    recorded = _manifest_precision(manifest_path)
+    if recorded is not None and recorded != cfg.precision:
+        raise ConfigError(
+            f"{manifest_path} records precision {recorded}, this run is {cfg.precision}; "
+            f"rerun with --precision {recorded} or write to another --out"
+        )
+    added = append_results(out_path, result_rows(result))
     write_atomic(manifest_path, build_run_manifest(cfg, backbone, extra={
         "dataset": result.dataset, "k_or_fraction": result.k_or_fraction,
         "chosen_lr": f"{result.chosen_lr:g}",
@@ -380,6 +402,9 @@ def main(argv=None) -> int:
     except PeftLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except OSError as e:  # a file the command reads or writes, outside the checks above
+        print(f"error: {e}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

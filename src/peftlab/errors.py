@@ -45,6 +45,10 @@ class LabelError(DataError):
     """Label index outside the valid class range."""
 
 
+class WriteError(DataError, OSError):
+    """A file could not be written; still an OSError for library callers."""
+
+
 class NumericError(PeftLabError):
     """NaN/Inf encountered, or a numeric precondition violated."""
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
+
+from .errors import WriteError
 
 
 def write_atomic(path, data: bytes | str) -> None:
@@ -14,6 +17,8 @@ def write_atomic(path, data: bytes | str) -> None:
     new one and never a part. If the write fails, the temporary file is
     removed and the old file is left as it was. This guards against a
     failing or killed process, not against power loss: nothing is synced.
+    An OSError is raised again as a `WriteError` that names `path`, not
+    the temporary file.
     """
     path = Path(path)
     if isinstance(data, str):
@@ -23,6 +28,9 @@ def write_atomic(path, data: bytes | str) -> None:
         with open(tmp, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as e:
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+            tmp.unlink()  # absent when it could not be created
+        if isinstance(e, OSError):
+            raise WriteError(f"cannot write {path}: {e.strerror or e}") from e
         raise

@@ -72,6 +72,27 @@ def test_probe_and_lora_cli_idempotent(fast_dirs, fast_ckpt, tmp_path, capsys):
     assert "backbone_hash=" in text
 
 
+def test_a_cell_keeps_the_precision_it_was_first_run_in(fast_dirs, fast_ckpt, tmp_path, capsys):
+    # the results key has no precision, so f32 rows would be dropped as
+    # duplicates of the f64 ones while the manifest was rewritten as f32
+    out = tmp_path / "results.csv"
+    args = ["lora", "--backbone", fast_ckpt, "--data", fast_dirs / "target", "--shots", 1,
+            "--seeds", "0", "--lr-grid", "1e-2", "--steps", 4, "--out", out]
+    assert run_cli(*args, "--precision", "f64") == 0
+    manifest = next(tmp_path.glob("*.manifest"))
+    assert "precision=f64" in manifest.read_text()
+    csv_bytes, manifest_bytes = out.read_bytes(), manifest.read_bytes()
+    capsys.readouterr()
+    assert run_cli(*args, "--precision", "f32") == 2
+    err = capsys.readouterr().err
+    assert "precision f64" in err and "this run is f32" in err
+    assert out.read_bytes() == csv_bytes and manifest.read_bytes() == manifest_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([out.name, manifest.name])
+    assert run_cli(*args) == 2  # the default is f32 too
+    assert run_cli(*args, "--precision", "f64") == 0
+    assert out.read_bytes() == csv_bytes and manifest.read_bytes() == manifest_bytes
+
+
 def test_config_file_with_flag_precedence(fast_dirs, fast_ckpt, tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("steps=10\nseeds=0\nlr-grid=1e-2\nrank=2\n")
