@@ -5,6 +5,12 @@ Every flag can also come from a flat key=value config file passed with
 --config; explicit flags win over file values, which win over defaults.
 Exit codes: 0 ok, 2 config error, 3 data error (a file that cannot be
 read or written included), 4 numeric error, 5 verification failure.
+
+probe, lora, sweep and scale take --jobs N (or jobs=N in the config
+file): a cell's (lr, seed) runs are spread over N processes, 1 to the
+number of CPUs this process may use, all of them by default. The results
+CSV rows (apart from wall_ms) and the .manifest files do not depend on
+N, and N is not recorded in them. Run it as `peftlab` or `python -m peftlab`.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .train import (
     TrainConfig,
     aggregate,
     append_results,
+    available_cpus,
     build_run_manifest,
     format_mean_std,
     pretrain_backbone,
@@ -90,6 +97,15 @@ def _dataset_name(o: _Opts) -> str | None:
     return name
 
 
+def _jobs(o: _Opts) -> int | None:
+    """--jobs, checked before anything runs or is written."""
+    jobs = o.get("jobs", None, int)
+    cpus = available_cpus()
+    if jobs is not None and not 1 <= jobs <= cpus:
+        raise ConfigError(f"--jobs must be between 1 and {cpus}, the CPUs available, got {jobs}")
+    return jobs
+
+
 def _parse_floats(s: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in str(s).split(",") if v.strip())
@@ -111,6 +127,8 @@ def _bool(s) -> bool:
 
 
 _CELL_PRECISION_HELP = "default f32; f64 is the bit-exact reference"
+_JOBS_HELP = ("processes for a cell's (lr, seed) runs, 1 to the available CPUs "
+              "(default: all of them); results do not depend on it")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,6 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--precision", choices=["f64", "f32"], help=_CELL_PRECISION_HELP)
         sp.add_argument("--val", choices=["fewshot", "full"])
         sp.add_argument("--dataset-name")
+        sp.add_argument("--jobs", type=int, help=_JOBS_HELP)
         sp.add_argument("--out", required=True)
         if mode == "lora":
             sp.add_argument("--rank", type=int)
@@ -176,6 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--targets")
     sp.add_argument("--alpha", type=float)
     sp.add_argument("--dataset-name")
+    sp.add_argument("--jobs", type=int, help=_JOBS_HELP)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("scale", help="fraction-of-dataset scaling runs")
@@ -193,6 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--targets")
     sp.add_argument("--alpha", type=float)
     sp.add_argument("--dataset-name")
+    sp.add_argument("--jobs", type=int, help=_JOBS_HELP)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("verify", help="run the cross-module invariant suite")
@@ -310,40 +331,41 @@ def _cmd_pretrain(o: _Opts) -> int:
 
 
 def _cmd_run(o: _Opts, mode: str) -> int:
-    dataset_name = _dataset_name(o)
+    dataset_name, jobs = _dataset_name(o), _jobs(o)
     _parse_seeds_grid(o)
     cfg = _train_config(o, mode)
     manifest = load_manifest(Path(o.args["data"]) / "manifest.csv")
     result = run_experiment(
         o.args["backbone"], manifest, cfg,
-        k=o.get("shots", None, int), dataset_name=dataset_name,
+        k=o.get("shots", None, int), dataset_name=dataset_name, jobs=jobs,
     )
     _report_run(result, o.args["out"], cfg, o.args["backbone"])
     return 0
 
 
 def _cmd_sweep(o: _Opts) -> int:
-    dataset_name = _dataset_name(o)
+    dataset_name, jobs = _dataset_name(o), _jobs(o)
     _parse_seeds_grid(o)
     manifest = load_manifest(Path(o.args["data"]) / "manifest.csv")
     shots = _parse_ints(o.get("shots-list", "1,2,4,8,16,50"))
     for mode in ("probe", "lora"):
         cfg = _train_config(o, mode)
         for k in shots:
-            result = run_experiment(o.args["backbone"], manifest, cfg, k=k, dataset_name=dataset_name)
+            result = run_experiment(o.args["backbone"], manifest, cfg, k=k,
+                                    dataset_name=dataset_name, jobs=jobs)
             _report_run(result, o.args["out"], cfg, o.args["backbone"])
     return 0
 
 
 def _cmd_scale(o: _Opts) -> int:
-    dataset_name = _dataset_name(o)
+    dataset_name, jobs = _dataset_name(o), _jobs(o)
     _parse_seeds_grid(o)
     mode = o.get("mode", "lora")
     cfg = _train_config(o, "lora" if mode == "lora" else "probe")
     manifest = load_manifest(Path(o.args["data"]) / "manifest.csv")
     fractions = _parse_floats(o.get("fractions", "0.05,0.25,1.0"))
     for result in run_fraction_scaling(o.args["backbone"], manifest, fractions, cfg,
-                                       dataset_name=dataset_name):
+                                       dataset_name=dataset_name, jobs=jobs):
         _report_run(result, o.args["out"], cfg, o.args["backbone"])
     return 0
 
@@ -364,8 +386,8 @@ def _cmd_verify(o: _Opts) -> int:
 
 
 def _cmd_report(o: _Opts) -> int:
-    path = Path(o.args["infile"])
-    rows = read_results(path) if path.exists() else []
+    # a missing path is an OSError, exit 3; an existing empty file only warns
+    rows = read_results(o.args["infile"])
     if not rows:
         print("warning: no result rows to report", file=sys.stderr)
         out = ""

@@ -14,11 +14,23 @@ two precisions give different bits, not only different speeds, so the
 CLI keeps each results cell in the precision it was first run in.
 Pretraining stays f64: its checkpoint is the foundation every run
 starts from.
+
+A cell's (lr, seed) runs are independent, so `run_experiment` spreads
+them over forked worker processes, one per available CPU by default.
+The results come back in serial order and are bit-identical to
+`jobs=1`, which is the plain serial loop and starts no process. Only
+`SeedRun.wall_ms` differs: it is the run's own wall time, under
+whatever CPU sharing the host gave it.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import pickle
+import signal
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -176,9 +188,18 @@ def _logits_in_chunks(forward, images: np.ndarray, batch_size: int) -> np.ndarra
     return np.concatenate(outs, axis=0)
 
 
-def _load_split(manifest: DatasetManifest, indices, dtype) -> tuple[np.ndarray, np.ndarray]:
-    images = manifest.load_batch(indices).astype(dtype)
-    return images, manifest.labels(indices)
+class _Images:
+    """The images at `indices`, each decoded once into `precision`'s dtype;
+    held by one cell or one pretraining, never memoized on the manifest."""
+
+    def __init__(self, manifest: DatasetManifest, indices, precision: str):
+        self.manifest = manifest
+        dtype = T.resolve_dtype(precision)
+        self.pixels = {i: manifest.load(i).astype(dtype) for i in dict.fromkeys(indices)}
+
+    def split(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """(images stacked in the order of `indices`, their labels)."""
+        return np.stack([self.pixels[i] for i in indices]), self.manifest.labels(indices)
 
 
 def _fit(forward, trainable, images, labels, *, lr: float, seed: int, steps: int,
@@ -214,16 +235,15 @@ def _assert_backbone_unchanged(model: ViTModel, before: dict[str, bytes], contex
 # -- single runs -------------------------------------------------------------
 
 
-def _probe_run(backbone_path, manifest, support, val_idx, test_idx, cfg, lr, seed, steps):
-    dtype = T.resolve_dtype(cfg.precision)
+def _probe_run(backbone_path, images: _Images, support, val_idx, test_idx, cfg, lr, seed, steps):
     model = load_backbone(backbone_path, precision=cfg.precision)
     model.set_trainable(False)
     before = _snapshot(model)
-    head = LinearHead(manifest.num_classes, model.config.dim, precision=cfg.precision)
+    head = LinearHead(images.manifest.num_classes, model.config.dim, precision=cfg.precision)
 
-    sup_images, sup_labels = _load_split(manifest, support, dtype)
-    val_images, val_labels = _load_split(manifest, val_idx, dtype)
-    test_images, test_labels = _load_split(manifest, test_idx, dtype)
+    sup_images, sup_labels = images.split(support)
+    val_images, val_labels = images.split(val_idx)
+    test_images, test_labels = images.split(test_idx)
 
     if cfg.cache_features:
         inputs = _logits_in_chunks(model.forward, sup_images, cfg.batch_size)
@@ -250,17 +270,16 @@ def _probe_run(backbone_path, manifest, support, val_idx, test_idx, cfg, lr, see
     return val_acc, test_acc, curve, count, head, model
 
 
-def _lora_run(backbone_path, manifest, support, val_idx, test_idx, cfg, lr, seed, steps):
-    dtype = T.resolve_dtype(cfg.precision)
+def _lora_run(backbone_path, images: _Images, support, val_idx, test_idx, cfg, lr, seed, steps):
     model = load_backbone(backbone_path, precision=cfg.precision)
     lora_cfg = replace(cfg.lora, init_seed=derive_seed(seed, "lora", cfg.lora.init_seed))
     adapted = inject(model, lora_cfg)
     before = _snapshot(model)
-    head = LinearHead(manifest.num_classes, model.config.dim, precision=cfg.precision)
+    head = LinearHead(images.manifest.num_classes, model.config.dim, precision=cfg.precision)
 
-    sup_images, sup_labels = _load_split(manifest, support, dtype)
-    val_images, val_labels = _load_split(manifest, val_idx, dtype)
-    test_images, test_labels = _load_split(manifest, test_idx, dtype)
+    sup_images, sup_labels = images.split(support)
+    val_images, val_labels = images.split(val_idx)
+    test_images, test_labels = images.split(test_idx)
 
     trainable = list(adapted.trainable_parameters().values()) + list(head.parameters().values())
 
@@ -288,11 +307,11 @@ def _lora_run(backbone_path, manifest, support, val_idx, test_idx, cfg, lr, seed
     return val_acc, test_acc, curve, count, head, adapted
 
 
-def _single_run(backbone_path, manifest, support, val_idx, test_idx, cfg, lr, seed, steps) -> SeedRun:
+def _single_run(backbone_path, images, support, val_idx, test_idx, cfg, lr, seed, steps) -> SeedRun:
     t0 = time.perf_counter()
     run = _probe_run if cfg.mode == "linear_probe" else _lora_run
     val_acc, test_acc, curve, count, _, _ = run(
-        backbone_path, manifest, support, val_idx, test_idx, cfg, lr, seed, steps
+        backbone_path, images, support, val_idx, test_idx, cfg, lr, seed, steps
     )
     wall_ms = int((time.perf_counter() - t0) * 1000)
     return SeedRun(seed=seed, lr=lr, val_top1=val_acc, test_top1=test_acc,
@@ -344,16 +363,133 @@ def _steps_for(cfg: TrainConfig, k: int | None, n_support: int) -> int:
     return cfg.epochs * max(1, math.ceil(n_support / cfg.batch_size))
 
 
-def lr_sweep(run_fn, cfg: TrainConfig):
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _rebuildable(e: Exception) -> Exception:
+    """`e` if it survives a trip through a pipe, else a RuntimeError naming it."""
+    try:
+        pickle.loads(pickle.dumps(e))
+        return e
+    except Exception:
+        return RuntimeError(f"{type(e).__name__}: {e}")
+
+
+def _worker(fn, tasks, first: int, stride: int, conn) -> None:
+    """Run tasks[first::stride] in order up to the first error. Each finished
+    task's index is sent at once, a few bytes that never fill the pipe; the
+    results, and the error that ended the share if one did, follow at the end."""
+    # the parent stops the workers on an interrupt; one traceback is enough
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    done, error = {}, None
+    for i in range(first, len(tasks), stride):
+        try:
+            done[i] = fn(*tasks[i])
+        except Exception as e:  # re-raised by the parent, in _fan_out
+            error = (i, _rebuildable(e))
+            break
+        conn.send(i)
+    conn.send((done, error))
+    conn.close()
+
+
+def _collect(proc, recv, first: int, stride: int, done: dict, errors: dict) -> None:
+    """Read one worker's results into `done` and its error into `errors`.
+
+    A worker that dies counts as an error at the first task it did not
+    report finished. A worker whose next task lies past the lowest error
+    index so far is terminated: the serial loop would not have run it."""
+    i = first
+    while True:
+        if errors and i > min(errors):
+            proc.terminate()
+            return
+        try:
+            msg = recv.recv()
+        except EOFError:
+            proc.join()
+            errors[i] = RuntimeError(f"run worker {proc.pid} exited with code "
+                                     f"{proc.exitcode} before reporting its results")
+            return
+        if isinstance(msg, int):
+            i = msg + stride
+            continue
+        their_done, error = msg
+        done.update(their_done)
+        if error is not None:
+            errors[error[0]] = error[1]
+        return
+
+
+def _fan_out(fn, tasks: list[tuple], jobs: int) -> list:
+    """[fn(*task) for task in tasks], spread over `jobs` processes.
+
+    The parent forks jobs - 1 workers and runs every jobs-th task itself;
+    worker w runs tasks w, w + jobs, ... Each process stops at its first
+    error and the lowest-index error is raised, so it is the one the serial
+    loop raises first (see `_collect` for a worker that dies or is stopped
+    early). Every worker is joined before this returns or raises. With one
+    job or one task, without `fork`, with other threads in this process
+    (which `fork` would not carry over), or in a daemonic process (which
+    may not start processes), this is the serial loop. A BLAS library's
+    own threads are not counted: OpenBLAS, which numpy's wheels ship,
+    stops its pool around `fork`; with a BLAS that cannot be forked,
+    pass jobs=1.
+    """
+    jobs = min(jobs, len(tasks))
+    if (jobs < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1 or multiprocessing.current_process().daemon):
+        return [fn(*task) for task in tasks]
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    done: dict[int, object] = {}
+    errors: dict[int, Exception] = {}
+    try:
+        for first in range(1, jobs):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(fn, tasks, first, jobs, send), daemon=True)
+            workers.append((proc, recv))
+            proc.start()
+            send.close()
+        for i in range(0, len(tasks), jobs):
+            try:
+                done[i] = fn(*tasks[i])
+            except Exception as e:  # raised below unless an earlier task failed too
+                errors[i] = e
+                break
+        for first, (proc, recv) in enumerate(workers, start=1):
+            _collect(proc, recv, first, jobs, done, errors)
+    except BaseException:
+        for proc, _ in workers:
+            if proc.pid is not None:
+                proc.terminate()
+        raise
+    finally:
+        for proc, recv in workers:
+            if proc.pid is not None:
+                proc.join()
+            recv.close()
+    if errors:
+        raise errors[min(errors)]
+    return [done[i] for i in range(len(tasks))]
+
+
+def lr_sweep(run_fn, cfg: TrainConfig, jobs: int = 1):
     """Run per (lr, seed), pick the lr with best mean validation top-1.
 
     The grid is deduplicated before running; ties go to the smaller lr.
+    The runs are spread over `jobs` processes (see `_fan_out`); the
+    results do not depend on it.
     Returns (best_lr, {lr: [SeedRun per seed]}).
     """
     grid = sorted(set(cfg.lr_grid))
-    results: dict[float, list[SeedRun]] = {}
-    for lr in grid:
-        results[lr] = [run_fn(lr, seed) for seed in cfg.seeds]
+    n = len(cfg.seeds)
+    runs = _fan_out(run_fn, [(lr, seed) for lr in grid for seed in cfg.seeds], jobs)
+    results = {lr: runs[i * n:(i + 1) * n] for i, lr in enumerate(grid)}
     best_lr, best_val = None, -1.0
     for lr in grid:
         mean_val = aggregate([r.val_top1 for r in results[lr]]).mean
@@ -363,18 +499,38 @@ def lr_sweep(run_fn, cfg: TrainConfig):
 
 
 def run_experiment(backbone_path, manifest: DatasetManifest, cfg: TrainConfig,
-                   k: int | None = None, dataset_name: str | None = None) -> RunResult:
+                   k: int | None = None, dataset_name: str | None = None,
+                   jobs: int | None = None) -> RunResult:
     """Full protocol for one (mode, shots-or-fraction) cell: LR sweep on
-    validation, final metrics on test, one SeedRun per configured seed."""
+    validation, final metrics on test, one SeedRun per configured seed.
+
+    The runs may execute in up to `jobs` forked worker processes; None
+    means one per available CPU, at most one per run. Results come back in
+    serial order, bit-identical to `jobs=1`, which starts no process;
+    `SeedRun.wall_ms` is each run's own time under whatever CPU sharing
+    the host gave it. An exception from any run reaches the caller with
+    its class and message, and it is the one `jobs=1` raises first (rerun
+    with `jobs=1` for a traceback from inside the run).
+
+    Before any run starts, every seed's images (support, validation and
+    test) are chosen and decoded once for the whole cell, so a data error
+    there is raised before any training.
+    """
     if k is not None and k < 1:
         raise ConfigError(f"shots per class must be >= 1, got {k}")
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+    selections = {seed: _selections(manifest, cfg, k, seed) for seed in cfg.seeds}
+    images = _Images(manifest, (i for split in selections.values() for indices in split
+                                for i in indices), cfg.precision)
 
     def run_fn(lr: float, seed: int) -> SeedRun:
-        support, val_idx, test_idx = _selections(manifest, cfg, k, seed)
+        support, val_idx, test_idx = selections[seed]
         steps = _steps_for(cfg, k, len(support))
-        return _single_run(backbone_path, manifest, support, val_idx, test_idx, cfg, lr, seed, steps)
+        return _single_run(backbone_path, images, support, val_idx, test_idx, cfg, lr, seed, steps)
 
-    best_lr, results = lr_sweep(run_fn, cfg)
+    best_lr, results = lr_sweep(run_fn, cfg, available_cpus() if jobs is None else jobs)
     runs = results[best_lr]
     k_or_fraction = str(k) if k is not None else f"{cfg.data_fraction:g}"
     return RunResult(
@@ -388,13 +544,16 @@ def run_experiment(backbone_path, manifest: DatasetManifest, cfg: TrainConfig,
 
 
 def run_fraction_scaling(backbone_path, manifest, fractions, cfg: TrainConfig,
-                         dataset_name: str | None = None) -> list[RunResult]:
+                         dataset_name: str | None = None,
+                         jobs: int | None = None) -> list[RunResult]:
     """One RunResult per fraction; subsets are nested per seed as the
-    fraction grows (same per-class permutation, longer prefix)."""
+    fraction grows (same per-class permutation, longer prefix). `jobs` is
+    as in `run_experiment`."""
     out = []
     for fraction in sorted(set(float(f) for f in fractions)):
         fcfg = replace(cfg, data_fraction=fraction)
-        out.append(run_experiment(backbone_path, manifest, fcfg, k=None, dataset_name=dataset_name))
+        out.append(run_experiment(backbone_path, manifest, fcfg, k=None,
+                                  dataset_name=dataset_name, jobs=jobs))
     return out
 
 
@@ -416,11 +575,10 @@ def pretrain_backbone(vit_cfg: ViTConfig, manifest: DatasetManifest, steps: int,
     downstream run. steps=0 just saves the seeded initialization."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    dtype = T.resolve_dtype(precision)
     model = ViTModel.init(vit_cfg, seed=seed, precision=precision)
     head = LinearHead(manifest.num_classes, vit_cfg.dim, precision=precision)
     train_idx = manifest.indices("train")
-    images, labels = _load_split(manifest, train_idx, dtype)
+    images, labels = _Images(manifest, train_idx, precision).split(train_idx)
 
     trainable = list(model.parameters().values()) + list(head.parameters().values())
     curve: list[float] = []
@@ -436,7 +594,7 @@ def pretrain_backbone(vit_cfg: ViTConfig, manifest: DatasetManifest, steps: int,
     save_backbone(out_path, model)
 
     test_idx = manifest.indices("test")
-    test_images, test_labels = _load_split(manifest, test_idx, dtype)
+    test_images, test_labels = _Images(manifest, test_idx, precision).split(test_idx)
 
     def eval_forward(batch):
         return head.forward(model.forward(batch))

@@ -1,8 +1,17 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import peftlab
+from peftlab import cli, train
 from peftlab.cli import main
 from peftlab.data import load_manifest
+from peftlab.errors import NumericError
 from peftlab.train import read_results
 
 
@@ -158,6 +167,70 @@ def test_scale_cli(fast_dirs, fast_ckpt, tmp_path):
     assert [r.k_or_fraction for r in rows] == ["0.5", "1"]
 
 
+# -- --jobs ---------------------------------------------------------------------------
+
+
+def jobs_args(fast_dirs, fast_ckpt, out):
+    return ["--backbone", fast_ckpt, "--data", fast_dirs / "target", "--shots", 2,
+            "--seeds", "0,1", "--lr-grid", "1e-3,1e-2", "--steps", 10, "--out", out]
+
+
+@pytest.mark.parametrize("jobs", [0, 999])
+@pytest.mark.parametrize("command", ["probe", "lora", "sweep", "scale"])
+def test_jobs_out_of_range_exits_2_and_writes_nothing(fast_dirs, fast_ckpt, tmp_path, capsys,
+                                                      command, jobs):
+    out = tmp_path / "runs" / "r.csv"
+    code = run_cli(command, "--backbone", fast_ckpt, "--data", fast_dirs / "target",
+                   "--jobs", jobs, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--jobs" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def test_jobs_from_config_file_is_checked(fast_dirs, fast_ckpt, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("jobs=0\n")
+    out = tmp_path / "r.csv"
+    assert run_cli("probe", "--config", conf, *jobs_args(fast_dirs, fast_ckpt, out)) == 2
+    assert "--jobs" in capsys.readouterr().err and not out.exists()
+
+
+def test_jobs_do_not_change_the_results_or_manifests(fast_dirs, fast_ckpt, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "available_cpus", lambda: 2)  # the worker path on any runner
+    outs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"j{jobs}" / "r.csv"
+        assert run_cli("lora", *jobs_args(fast_dirs, fast_ckpt, out), "--jobs", jobs) == 0
+        assert multiprocessing.active_children() == []
+        outs[jobs] = out
+    rows = [[r.to_csv().rsplit(",", 1)[0] for r in read_results(outs[j])] for j in (1, 2)]
+    assert len(rows[0]) == 2 and rows[0] == rows[1]
+    manifests = [sorted(outs[j].parent.glob("*.manifest")) for j in (1, 2)]
+    assert [m.name for m in manifests[0]] == [m.name for m in manifests[1]]
+    assert [m.read_bytes() for m in manifests[0]] == [m.read_bytes() for m in manifests[1]]
+    assert b"jobs" not in manifests[0][0].read_bytes()
+
+
+def test_a_workers_numeric_error_exits_4(fast_dirs, fast_ckpt, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "available_cpus", lambda: 2)
+    real = train._single_run
+
+    def single_run(*args):
+        lr, seed = args[-3:-1]
+        if (lr, seed) == (1e-3, 1):  # the second run in serial order: the worker's
+            raise NumericError(f"diverged in process {os.getpid()}")
+        return real(*args)
+
+    monkeypatch.setattr(train, "_single_run", single_run)
+    out = tmp_path / "r.csv"
+    assert run_cli("lora", *jobs_args(fast_dirs, fast_ckpt, out), "--jobs", 2) == 4
+    err = capsys.readouterr().err
+    assert "diverged in process" in err and f"process {os.getpid()}" not in err
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
 # -- report --------------------------------------------------------------------------
 
 
@@ -200,6 +273,15 @@ def test_report_empty_warns_exit_zero(tmp_path, capsys):
     csv.write_text("mode,dataset,k_or_fraction,lr,seed,test_top1,params_trainable,wall_ms\n")
     assert run_cli("report", "--in", csv, "--shape", "table") == 0
     assert "warning" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing.csv", "afile/r.csv"])
+def test_report_on_a_path_that_is_no_file_exits_3(tmp_path, capsys, where):
+    (tmp_path / "afile").write_text("")
+    path = tmp_path / where
+    assert run_cli("report", "--in", path, "--shape", "table") == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(path) in err[0]
 
 
 def test_report_to_file(tmp_path):
@@ -311,3 +393,14 @@ def test_bad_dataset_name_rejected_by_sweep_and_scale(fast_dirs, fast_ckpt, tmp_
     assert run_cli("sweep", *common, "--out", tmp_path / "sweep.csv") == 2
     assert run_cli("scale", *common, "--out", tmp_path / "scale.csv") == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_python_m_peftlab_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(peftlab.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "peftlab", "report", "--in", tmp_path / "no.csv"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert "no.csv" in proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "peftlab", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: peftlab")

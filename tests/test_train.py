@@ -1,12 +1,23 @@
 import math
-from dataclasses import replace
+import multiprocessing
+import os
+import threading
+import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from peftlab import train
 from peftlab.checkpoint import load_backbone, load_checkpoint
-from peftlab.data import ManifestItem, DatasetManifest
-from peftlab.errors import ConfigError, InsufficientDataError, NumericError, ParseError
+from peftlab.data import DatasetManifest, ManifestItem, load_image
+from peftlab.errors import (
+    ConfigError,
+    InsufficientDataError,
+    NumericError,
+    ParseError,
+    VerificationError,
+)
 from peftlab.lora import LoraConfig, trainable_param_count
 from peftlab.rng import Rng
 from peftlab.tensor import resolve_dtype
@@ -14,6 +25,8 @@ from peftlab.train import (
     ResultRow,
     SeedRun,
     TrainConfig,
+    _Images,
+    _fan_out,
     _fit,
     _fraction_subset,
     _lora_run,
@@ -207,6 +220,10 @@ def quick_cfg(mode="linear_probe", **kw):
     return TrainConfig(**base)
 
 
+def images_of(manifest, *splits, precision="f32"):
+    return _Images(manifest, [i for split in splits for i in split], precision)
+
+
 def test_step0_loss_is_ln_c_for_both_modes(fast_ckpt, fast_target):
     for mode in ("linear_probe", "lora"):
         cfg = quick_cfg(mode, max_steps=3, precision="f64")
@@ -227,8 +244,9 @@ def probe_head_bytes(fast_ckpt, fast_target, precision):
     results = {}
     for cached in (True, False):
         cfg = quick_cfg(cache_features=cached, precision=precision)
-        *_, head, _ = _probe_run(fast_ckpt, fast_target, support, val_idx, test_idx,
-                                 cfg, lr=1e-2, seed=0, steps=30)
+        *_, head, _ = _probe_run(fast_ckpt, images_of(fast_target, support, val_idx, test_idx,
+                                                      precision=precision),
+                                 support, val_idx, test_idx, cfg, lr=1e-2, seed=0, steps=30)
         assert head.W.data.dtype == resolve_dtype(precision)
         results[cached] = head.W.data.tobytes()
     return results
@@ -256,8 +274,9 @@ def test_run_determinism_bitwise(fast_ckpt, fast_target):
 def test_lora_frozen_invariance_and_counts(fast_ckpt, fast_target):
     support, val_idx, test_idx = _selections(fast_target, quick_cfg("lora"), 2, seed=1)
     cfg = quick_cfg("lora", precision="f64")
-    *_, head, adapted = _lora_run(fast_ckpt, fast_target, support, val_idx, test_idx,
-                                  cfg, lr=1e-2, seed=1, steps=25)
+    *_, head, adapted = _lora_run(fast_ckpt, images_of(fast_target, support, val_idx, test_idx,
+                                                       precision="f64"),
+                                  support, val_idx, test_idx, cfg, lr=1e-2, seed=1, steps=25)
     # counts: enumeration must equal closed form + head
     enumerated = sum(p.data.size for p in adapted.trainable_parameters().values())
     enumerated += sum(p.data.size for p in head.parameters().values())
@@ -279,8 +298,8 @@ def test_lora_frozen_invariance_and_counts(fast_ckpt, fast_target):
 
 def test_lora_frozen_invariance_f32(fast_ckpt, fast_target):
     support, val_idx, test_idx = _selections(fast_target, quick_cfg("lora"), 2, seed=1)
-    *_, adapted = _lora_run(fast_ckpt, fast_target, support, val_idx, test_idx,
-                            quick_cfg("lora"), lr=1e-2, seed=1, steps=25)
+    *_, adapted = _lora_run(fast_ckpt, images_of(fast_target, support, val_idx, test_idx),
+                            support, val_idx, test_idx, quick_cfg("lora"), lr=1e-2, seed=1, steps=25)
     # frozen weights equal the checkpoint cast to f32 bit for bit; a host
     # merged then unmerged is off by at most one rounding of h + delta and
     # one of (h + delta) - delta
@@ -300,8 +319,10 @@ def test_lora_frozen_invariance_f32(fast_ckpt, fast_target):
 
 def probe_run_model(fast_ckpt, fast_target, precision):
     support, val_idx, test_idx = _selections(fast_target, quick_cfg(), 1, seed=0)
-    *_, model = _probe_run(fast_ckpt, fast_target, support, val_idx, test_idx,
-                           quick_cfg(precision=precision), lr=1e-2, seed=0, steps=20)
+    *_, model = _probe_run(fast_ckpt, images_of(fast_target, support, val_idx, test_idx,
+                                                precision=precision),
+                           support, val_idx, test_idx, quick_cfg(precision=precision), lr=1e-2,
+                           seed=0, steps=20)
     return model
 
 
@@ -355,6 +376,177 @@ def test_fraction_scaling_series(fast_ckpt, fast_target):
     series = run_fraction_scaling(fast_ckpt, fast_target, (1.0, 0.2), cfg)
     assert [r.k_or_fraction for r in series] == ["0.2", "1"]
     assert all(len(r.runs) == 1 for r in series)
+
+
+# -- runs spread over processes ---------------------------------------------------------
+
+
+def test_fan_out_parent_runs_every_jobs_th_task_and_workers_the_rest():
+    tasks = [(i,) for i in range(5)]
+    out = _fan_out(lambda i: (i, os.getpid()), tasks, jobs=2)
+    assert [i for i, _ in out] == list(range(5))
+    pids = [pid for _, pid in out]
+    assert pids[0::2] == [os.getpid()] * 3
+    assert len(set(pids[1::2])) == 1 and pids[1] != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+class TwoArgError(Exception):
+    def __init__(self, what, where):  # pickles, but cannot be rebuilt from its args
+        super().__init__(f"{what} at {where}")
+
+
+def _raise_in_worker(i):
+    if i == 1:
+        raise TwoArgError("bad", "run 1")
+    return i
+
+
+def _die_in_worker(i):
+    if i == 1:
+        os._exit(3)
+    return i
+
+
+def test_fan_out_reports_what_it_cannot_rebuild_and_a_worker_that_died():
+    with pytest.raises(RuntimeError, match="TwoArgError: bad at run 1"):
+        _fan_out(_raise_in_worker, [(i,) for i in range(3)], jobs=2)
+    with pytest.raises(RuntimeError, match="exited with code 3 before reporting"):
+        _fan_out(_die_in_worker, [(i,) for i in range(3)], jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def _pass_raise_or_die(what, i):
+    if what == "raise":
+        raise ValueError(f"task {i}")
+    if what == "die":
+        os._exit(3)
+    return i
+
+
+# with two jobs the parent runs the even tasks, the worker the odd ones
+@pytest.mark.parametrize("plan, first", [
+    (["raise", "die"], 0),
+    (["pass", "pass", "raise", "die"], 2),  # the worker reports task 1 before it dies
+])
+def test_fan_out_prefers_an_earlier_error_to_a_worker_that_died(plan, first):
+    with pytest.raises(ValueError, match=f"task {first}"):
+        _fan_out(_pass_raise_or_die, [(what, i) for i, what in enumerate(plan)], jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def _fail_first_or_sleep(i):
+    if i == 0:
+        raise ValueError("task 0")
+    time.sleep(60)
+
+
+def test_fan_out_stops_the_workers_once_the_parents_first_task_fails():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="task 0"):
+        _fan_out(_fail_first_or_sleep, [(i,) for i in range(6)], jobs=3)
+    assert time.perf_counter() - t0 < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_runs_serially_beside_other_threads():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        pids = _fan_out(lambda i: os.getpid(), [(i,) for i in range(4)], jobs=2)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert pids == [os.getpid()] * 4
+
+
+def _fan_out_pids(conn):
+    conn.send(_fan_out(lambda i: os.getpid(), [(i,) for i in range(4)], jobs=2))
+
+
+def test_fan_out_runs_serially_in_a_daemonic_process():
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_fan_out_pids, args=(send,), daemon=True)
+    proc.start()
+    pids = recv.recv() if recv.poll(60) else None
+    proc.join(timeout=60)
+    assert proc.exitcode == 0
+    assert pids == [proc.pid] * 4
+
+
+def fan_cfg(mode, precision):
+    return quick_cfg(mode, lr_grid=(1e-3, 1e-2), seeds=(0, 1), max_steps=20, precision=precision)
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("mode", ["linear_probe", "lora"])
+def test_jobs_do_not_change_results(fast_ckpt, fast_target, mode, precision):
+    cfg = fan_cfg(mode, precision)
+    serial, fanned = (run_experiment(fast_ckpt, fast_target, cfg, k=2, jobs=j) for j in (1, 2))
+    assert multiprocessing.active_children() == []
+    assert fanned.chosen_lr == serial.chosen_lr
+    assert len(fanned.runs) == len(serial.runs) == 2
+    for a, b in zip(serial.runs, fanned.runs):
+        for f in fields(a):
+            if f.name != "wall_ms":
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
+        assert np.array(a.loss_curve).tobytes() == np.array(b.loss_curve).tobytes()
+
+
+def test_a_cell_decodes_each_image_once(fast_ckpt, fast_target, monkeypatch):
+    decoded = []
+
+    def counting_load(path, norm=None):
+        decoded.append(path)
+        return load_image(path, norm)
+
+    monkeypatch.setattr("peftlab.data.load_image", counting_load)
+    cfg = fan_cfg("lora", "f32")
+    run_experiment(fast_ckpt, fast_target, cfg, k=2, jobs=1)
+    wanted = {i for seed in cfg.seeds for split in _selections(fast_target, cfg, 2, seed)
+              for i in split}
+    assert len(decoded) == len(set(decoded)) == len(wanted)
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_a_cells_images_equal_a_batch_load_bitwise(fast_target, precision):
+    support, val_idx, _ = _selections(fast_target, quick_cfg(), 2, seed=0)
+    images = _Images(fast_target, [*support, *val_idx], precision)
+    for indices in (support, val_idx, support[::-1]):
+        got = images.split(indices)
+        want = fast_target.load_batch(indices).astype(resolve_dtype(precision))
+        assert got[0].dtype == want.dtype and got[0].tobytes() == want.tobytes()
+        assert np.array_equal(got[1], fast_target.labels(indices))
+
+
+# tasks in serial order: (1e-3, 0), (1e-3, 1), (1e-2, 0), (1e-2, 1); with two
+# jobs the parent runs tasks 0 and 2, the worker 1 and 3
+@pytest.mark.parametrize("raising, first", [
+    ({(1e-3, 1): NumericError("diverged at step 3")}, (1e-3, 1)),
+    ({(1e-3, 1): VerificationError("merge check"), (1e-2, 0): NumericError("late")}, (1e-3, 1)),
+    ({(1e-2, 0): ConfigError("parent's"), (1e-2, 1): NumericError("worker's")}, (1e-2, 0)),
+])
+def test_a_failing_run_raises_the_serial_loops_first_error(fast_ckpt, fast_target, monkeypatch,
+                                                           raising, first):
+    real = train._single_run
+
+    def single_run(backbone_path, images, support, val_idx, test_idx, cfg, lr, seed, steps):
+        if (lr, seed) in raising:
+            raise raising[(lr, seed)]
+        return real(backbone_path, images, support, val_idx, test_idx, cfg, lr, seed, steps)
+
+    monkeypatch.setattr(train, "_single_run", single_run)
+    cfg = fan_cfg("linear_probe", "f32")
+    seen = []
+    for jobs in (1, 2):
+        with pytest.raises(type(raising[first])) as info:
+            run_experiment(fast_ckpt, fast_target, cfg, k=2, jobs=jobs)
+        assert multiprocessing.active_children() == []
+        seen.append((type(info.value), str(info.value)))
+    assert seen[0] == seen[1] == (type(raising[first]), str(raising[first]))
 
 
 # -- pretraining ------------------------------------------------------------------------
