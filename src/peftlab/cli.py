@@ -22,13 +22,14 @@ import sys
 from pathlib import Path
 
 from .checkpoint import checkpoint_hash
-from .data import SynthSpec, load_manifest, synth_generate, synth_spec_from_dict
-from .errors import ConfigError, DataError, PeftLabError, VerificationError
+from .data import SynthSpec, load_manifest, synth_generate, synth_spec_from_dict, synth_spec_keys
+from .errors import ConfigError, DataError, ParseError, PeftLabError, VerificationError
 from .files import write_atomic
 from .lora import LoraConfig, parse_targets
 from .report import render_series, render_table
 from .train import (
     DEFAULT_LR_GRID,
+    DEFAULT_PRETRAIN_STEPS,
     DEFAULT_SEEDS,
     TrainConfig,
     aggregate,
@@ -52,6 +53,8 @@ def _read_kv(path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read config file {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -140,7 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="generate the synthetic source/target datasets")
     common(sp)
-    sp.add_argument("--spec", help="key=value synthesis spec file")
+    sp.add_argument("--spec", help="key=value synthesis spec file; keys: "
+                    + ", ".join(synth_spec_keys()))
     sp.add_argument("--out", required=True)
     sp.add_argument("--task", choices=["source", "target", "both"], default="both")
 
@@ -313,9 +317,10 @@ def _cmd_synth(o: _Opts) -> int:
 def _cmd_pretrain(o: _Opts) -> int:
     manifest = load_manifest(Path(o.args["data"]) / "manifest.csv")
     vit_cfg = preset(o.get("preset", "tiny"))
+    steps = o.get("steps", DEFAULT_PRETRAIN_STEPS, int)
     result = pretrain_backbone(
         vit_cfg, manifest,
-        steps=o.get("steps", 600, int),
+        steps=steps,
         seed=o.get("seed", 0, int),
         out_path=o.args["out"],
         lr=o.get("lr", 1e-3, float),
@@ -323,7 +328,7 @@ def _cmd_pretrain(o: _Opts) -> int:
         precision=o.get("precision", "f64"),
     )
     print(
-        f"pretrain: {o.get('steps', 600, int)} steps, source test top-1 "
+        f"pretrain: {steps} steps, source test top-1 "
         f"{result.test_top1 * 100:.2f}%, checkpoint {result.path} "
         f"(hash {checkpoint_hash(result.path)[:12]})"
     )

@@ -8,6 +8,15 @@ so a backbone pretrained on the "source" task transfers imperfectly to
 the "target" task: the few-shot gap between adapting the backbone and
 probing frozen features is real but bridgeable.
 
+Every image draws from its own keyed stream, so it is a pure function of
+(spec, task, label, index). `synth_generate` renders each class in
+chunks of SYNTH_CHUNK images with batched numpy: one `Rng.streams` call
+gives every image's draws as a row, laid out in the counter order
+`_render` documents, and each step of the drawing runs once per chunk on
+an (N, H, W) array, with the same elementwise arithmetic as one image.
+`render_image` is the one-image case of the same code, so the files do
+not depend on the chunk size.
+
 Manifest format: UTF-8 CSV with two header comments then a column row,
 
     #classes=a;b;c
@@ -25,14 +34,14 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, InsufficientDataError
 from .files import write_atomic
-from .rng import Rng
+from .rng import Rng, to_normal, to_uniform
 
 SPLITS = ("train", "val", "test")
 
@@ -152,6 +161,8 @@ def load_manifest(path) -> DatasetManifest:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read manifest {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
     classes: tuple[str, ...] | None = None
     norm_mean: tuple[float, ...] = ()
     norm_std: tuple[float, ...] = ()
@@ -276,14 +287,24 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.image_size % 8 != 0:
+        if self.image_size < 8 or self.image_size % 8 != 0:
             raise ConfigError(
                 f"image_size {self.image_size} incompatible with tiny-preset 8x8 patching"
             )
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
-            raise ConfigError("split fractions must sum to 1")
+        if len(self.split_fractions) != 3:
+            raise ConfigError(
+                f"split_fractions needs 3 values (train, val, test), got {len(self.split_fractions)}"
+            )
+        if abs(sum(self.split_fractions) - 1.0) > 1e-9 or min(self.split_fractions) < 0:
+            raise ConfigError("split fractions must be >= 0 and sum to 1")
         if self.num_classes < 2 or self.samples_per_class < 1:
             raise ConfigError("need >= 2 classes and >= 1 sample per class")
+        if self.split_counts()[0] < 1:
+            raise ConfigError("the train split must get at least one image per class")
+        if not 1 <= self.channels <= 255 or self.blobs_per_class < 1:
+            raise ConfigError("need 1 to 255 channels and >= 1 blob per class")
+        if not self.noise_level >= 0:
+            raise ConfigError(f"noise_level must be >= 0, got {self.noise_level}")
 
     def split_counts(self) -> tuple[int, int, int]:
         n = self.samples_per_class
@@ -305,64 +326,102 @@ def class_geometry(spec: SynthSpec, label: int) -> np.ndarray:
     return rng.uniform((spec.blobs_per_class, 2), low=0.2, high=0.8)
 
 
-def render_image(spec: SynthSpec, task: str, label: int, index: int) -> np.ndarray:
-    """One deterministic (C,H,W) image in [0,1]."""
+# Images rendered per batch. It bounds the batch's working memory (about
+# 0.1 MB of float64 temporaries per image at 32x32), which otherwise shows
+# in the process's peak RSS.
+SYNTH_CHUNK = 16
+
+
+def _bump(yy, xx, cy, cx, gain, radius: float) -> np.ndarray:
+    d2 = (yy - cy) ** 2 + (xx - cx) ** 2
+    return gain * np.exp(-d2 / (2.0 * radius**2))
+
+
+def _render(spec: SynthSpec, task: str, label: int, indices: np.ndarray,
+            centers: np.ndarray) -> np.ndarray:
+    """(N,C,H,W) images `indices` of class `label`, whose blob centers are `centers`.
+
+    Image j draws from its own stream, `Rng(seed).derive(task, label, j)`,
+    in this counter order: phase 1, ramp angle 1 (only when ramp_amp is
+    nonzero), jitter 2B, gain 1, each distractor 3, noise 2*ceil(s*s/2).
+    """
     style = spec.style(task)
-    s = spec.image_size
-    rng = Rng(spec.seed).derive(task, label, index)
+    s, b, n = spec.image_size, spec.blobs_per_class, len(indices)
+    n_ramp = 1 if style.ramp_amp != 0.0 else 0
+    n_noise = 2 * ((s * s + 1) // 2) if spec.noise_level > 0 else 0
+    raw = Rng(spec.seed).derive(task, label).streams(
+        indices, 1 + n_ramp + 2 * b + 1 + 3 * style.distractor_count + n_noise)
+    cursor = 0
+
+    def take(k: int) -> np.ndarray:
+        nonlocal cursor
+        cursor += k
+        return raw[:, cursor - k:cursor]
+
     coords = (np.arange(s) + 0.5) / s
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
 
-    phase = rng.uniform(low=0.0, high=2.0 * math.pi)
+    phase = to_uniform(take(1), 0.0, 2.0 * math.pi)[:, :, None]
     proj = xx * math.cos(style.texture_angle) + yy * math.sin(style.texture_angle)
     img = style.base_level + style.texture_amp * np.sin(
         2.0 * math.pi * style.texture_freq * proj + phase
     )
 
-    if style.ramp_amp != 0.0:
-        theta = rng.uniform(low=0.0, high=2.0 * math.pi)
-        img = img + style.ramp_amp * (
-            (xx - 0.5) * math.cos(theta) + (yy - 0.5) * math.sin(theta)
-        )
+    if n_ramp:
+        theta = to_uniform(take(1), 0.0, 2.0 * math.pi)[:, 0]
+        # libm's scalar cos/sin, as the datasets have always used; numpy's vectorised
+        # ones can differ in the last bit
+        cos_t = np.array([math.cos(v) for v in theta])[:, None, None]
+        sin_t = np.array([math.sin(v) for v in theta])[:, None, None]
+        img = img + style.ramp_amp * ((xx - 0.5) * cos_t + (yy - 0.5) * sin_t)
 
-    centers = class_geometry(spec, label)
-    jit = rng.normal(centers.shape, std=style.jitter)
-    gain = float(rng.uniform(low=0.85, high=1.15)) * style.blob_gain
-    for (cy, cx) in centers + jit:
-        d2 = (yy - cy) ** 2 + (xx - cx) ** 2
-        img = img + gain * np.exp(-d2 / (2.0 * style.blob_radius**2))
+    pos = centers + to_normal(take(2 * b), 2 * b, std=style.jitter).reshape(n, b, 2)
+    gain = (to_uniform(take(1), 0.85, 1.15) * style.blob_gain)[:, :, None]
+    for k in range(b):
+        img = img + _bump(yy, xx, pos[:, k, 0, None, None], pos[:, k, 1, None, None],
+                          gain, style.blob_radius)
 
     for _ in range(style.distractor_count):
-        dy, dx = rng.uniform(low=0.1, high=0.9), rng.uniform(low=0.1, high=0.9)
-        dgain = float(rng.uniform(low=0.85, high=1.15)) * style.distractor_gain
-        d2 = (yy - dy) ** 2 + (xx - dx) ** 2
-        img = img + dgain * np.exp(-d2 / (2.0 * style.distractor_radius**2))
+        at = to_uniform(take(2), 0.1, 0.9)[:, :, None, None]
+        dgain = (to_uniform(take(1), 0.85, 1.15) * style.distractor_gain)[:, :, None]
+        img = img + _bump(yy, xx, at[:, 0], at[:, 1], dgain, style.distractor_radius)
 
-    if spec.noise_level > 0:
-        img = img + rng.normal(img.shape, std=spec.noise_level)
+    if n_noise:
+        img = img + to_normal(take(n_noise), s * s, std=spec.noise_level).reshape(n, s, s)
     img = np.clip(img, 0.0, 1.0)
-    return np.repeat(img[None], spec.channels, axis=0)
+    return np.repeat(img[:, None], spec.channels, axis=1)
+
+
+def render_image(spec: SynthSpec, task: str, label: int, index: int) -> np.ndarray:
+    """One deterministic (C,H,W) image in [0,1]."""
+    return _render(spec, task, label, np.array([index]), class_geometry(spec, label))[0]
 
 
 def synth_generate(spec: SynthSpec, task: str, out_dir) -> DatasetManifest:
-    """Write images + manifest for one task; byte-identical on rerun."""
+    """Write images + manifest for one task; byte-identical on rerun.
+
+    Each class renders in batches of SYNTH_CHUNK images. The norm stats
+    come from the train images as float64, before the float32 cast."""
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
-    tr, va, te = spec.split_counts()
+    tr, va, _ = spec.split_counts()
+    per_class = spec.samples_per_class
+    train = np.empty((spec.num_classes * tr, spec.channels, spec.image_size, spec.image_size))
     items: list[ManifestItem] = []
-    train_pixels = []
     for label in range(spec.num_classes):
-        for j in range(spec.samples_per_class):
-            split = "train" if j < tr else ("val" if j < tr + va else "test")
-            rel = f"images/img_{label:02d}_{j:03d}.cyt"
-            img = render_image(spec, task, label, j)
-            write_image(out / rel, img)
-            items.append(ManifestItem(rel, label, split))
-            if split == "train":
-                train_pixels.append(img)
-    stack = np.stack(train_pixels).astype(np.float64)
-    mean = tuple(float(v) for v in stack.mean(axis=(0, 2, 3)))
-    std = tuple(max(float(v), 1e-6) for v in stack.std(axis=(0, 2, 3)))
+        centers = class_geometry(spec, label)
+        for j0 in range(0, per_class, SYNTH_CHUNK):
+            indices = np.arange(j0, min(j0 + SYNTH_CHUNK, per_class))
+            imgs = _render(spec, task, label, indices, centers)
+            for j, img in zip(indices.tolist(), imgs):
+                split = "train" if j < tr else ("val" if j < tr + va else "test")
+                rel = f"images/img_{label:02d}_{j:03d}.cyt"
+                write_image(out / rel, img)
+                items.append(ManifestItem(rel, label, split))
+            n_train = max(0, min(tr - j0, len(indices)))
+            train[label * tr + j0:label * tr + j0 + n_train] = imgs[:n_train]
+    mean = tuple(float(v) for v in train.mean(axis=(0, 2, 3)))
+    std = tuple(max(float(v), 1e-6) for v in train.std(axis=(0, 2, 3)))
     manifest = DatasetManifest(
         name=task, classes=tuple(f"class{c:02d}" for c in range(spec.num_classes)),
         items=items, norm_mean=mean, norm_std=std, root=out,
@@ -371,48 +430,52 @@ def synth_generate(spec: SynthSpec, task: str, out_dir) -> DatasetManifest:
     return manifest
 
 
+def _spec_keys(obj) -> dict[str, object]:
+    """{spec file key: value}: one key per dataclass field, and one
+    `<task>.<field>` key per field of each `<task>_style`."""
+    out: dict[str, object] = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, StyleParams):
+            task = f.name.removesuffix("_style")
+            out.update({f"{task}.{k}": v for k, v in _spec_keys(value).items()})
+        else:
+            out[f.name] = value
+    return out
+
+
+def synth_spec_keys() -> list[str]:
+    """The keys a synth spec file accepts."""
+    return list(_spec_keys(SynthSpec()))
+
+
 def synth_spec_to_dict(spec: SynthSpec) -> dict[str, str]:
-    out = {
-        "num_classes": spec.num_classes, "samples_per_class": spec.samples_per_class,
-        "image_size": spec.image_size, "channels": spec.channels,
-        "blobs_per_class": spec.blobs_per_class, "noise_level": repr(spec.noise_level),
-        "seed": spec.seed,
-        "split_fractions": ",".join(repr(f) for f in spec.split_fractions),
-    }
-    for tag, st in (("source", spec.source_style), ("target", spec.target_style)):
-        for f in (
-            "base_level", "blob_gain", "blob_radius",
-            "texture_amp", "texture_freq", "texture_angle", "jitter", "ramp_amp",
-            "distractor_count", "distractor_gain", "distractor_radius",
-        ):
-            out[f"{tag}.{f}"] = repr(getattr(st, f))
-    return {k: str(v) for k, v in out.items()}
+    return {k: ",".join(repr(x) for x in v) if isinstance(v, tuple) else repr(v)
+            for k, v in _spec_keys(spec).items()}
 
 
 def synth_spec_from_dict(d: dict[str, str]) -> SynthSpec:
+    """The default SynthSpec with the keys of `d` replaced; ConfigError on an
+    unknown key or a value that does not parse as its field's type."""
+    defaults = _spec_keys(SynthSpec())
+    top: dict[str, object] = {}
+    styles: dict[str, dict[str, object]] = {}
+    for key, raw in d.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown synth spec key {key!r}; `peftlab synth --help` lists them")
+        default = defaults[key]
+        kind = float if isinstance(default, tuple) else type(default)
+        try:
+            value = (tuple(kind(v) for v in raw.split(",")) if isinstance(default, tuple)
+                     else kind(raw))
+        except ValueError:
+            raise ConfigError(f"synth spec value {key}={raw!r} is not a valid {kind.__name__}")
+        task, dot, name = key.partition(".")
+        if dot:
+            styles.setdefault(task, {})[name] = value
+        else:
+            top[key] = value
     spec = SynthSpec()
-
-    def style_from(tag: str, default: StyleParams) -> StyleParams:
-        kw = {}
-        for f in (
-            "base_level", "blob_gain", "blob_radius",
-            "texture_amp", "texture_freq", "texture_angle", "jitter", "ramp_amp",
-            "distractor_count", "distractor_gain", "distractor_radius",
-        ):
-            key = f"{tag}.{f}"
-            if key in d:
-                kw[f] = int(d[key]) if f == "distractor_count" else float(d[key])
-        return replace(default, **kw)
-
-    kw: dict = {}
-    for f, conv in (
-        ("num_classes", int), ("samples_per_class", int), ("image_size", int),
-        ("channels", int), ("blobs_per_class", int), ("noise_level", float), ("seed", int),
-    ):
-        if f in d:
-            kw[f] = conv(d[f])
-    if "split_fractions" in d:
-        kw["split_fractions"] = tuple(float(v) for v in d["split_fractions"].split(","))
-    kw["source_style"] = style_from("source", spec.source_style)
-    kw["target_style"] = style_from("target", spec.target_style)
-    return replace(spec, **kw)
+    for task, kw in styles.items():
+        top[f"{task}_style"] = replace(getattr(spec, f"{task}_style"), **kw)
+    return replace(spec, **top)

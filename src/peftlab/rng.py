@@ -17,6 +17,16 @@ Independent child streams come from `derive`, which folds string/int
 tags into a fresh key. All stochastic choices in the package (weight
 init, episode sampling, batch shuffling, image synthesis) are drawn from
 this generator so a run is fully determined by its seeds.
+
+Batched streams: `Rng.streams(tags, n)` returns, as one (N, n) uint64
+array, draws 1..n of each of the N child streams `derive(tag)`. Row j
+is bit for bit what `derive(tags[j])` would draw one call at a time,
+and column i is counter i + 1, so a caller that lays out its draws in
+counter order slices the columns it needs. `to_uniform` and `to_normal`
+convert raw draws along the last axis; `Rng.uniform` and `Rng.normal`
+call the same two functions, so a batched draw and a per-stream draw
+cannot drift apart. Box-Muller pairs within a row: u1 is the first m
+raws, u2 the next m, and the result is concat(r·cos, r·sin)[:n].
 """
 
 from __future__ import annotations
@@ -47,6 +57,40 @@ def _fnv1a(data: bytes) -> np.uint64:
     return h
 
 
+def _fold_int(key, tags):
+    """Child key(s) of `key` for integer tag(s) already wrapped to uint64."""
+    with np.errstate(over="ignore"):
+        return _mix64(key ^ _mix64(tags + _GOLDEN))
+
+
+def _draws(keys, start: int, n: int) -> np.ndarray:
+    """Draws start+1 .. start+n of the stream of each key: shape keys.shape + (n,)."""
+    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _mix64(np.asarray(keys)[..., None] + idx * _GOLDEN)
+
+
+def to_uniform(raw: np.ndarray, low: float = 0.0, high: float = 1.0,
+               dtype=np.float64) -> np.ndarray:
+    """Uniforms on [low, high), one per raw draw, from its top 53 bits."""
+    u = (raw >> np.uint64(11)).astype(np.float64) * _U64_SCALE
+    return (low + (high - low) * u).astype(dtype)
+
+
+def to_normal(raw: np.ndarray, n: int, mean: float = 0.0, std: float = 1.0,
+              dtype=np.float64) -> np.ndarray:
+    """n Box-Muller normals per row from 2 * ceil(n / 2) raw draws on the last axis.
+
+    u1 is the row's first half, kept in (0, 1]; u2 the second half."""
+    m = raw.shape[-1] // 2
+    u1 = ((raw[..., :m] >> np.uint64(11)).astype(np.float64) + 1.0) * _U64_SCALE
+    u2 = (raw[..., m:] >> np.uint64(11)).astype(np.float64) * _U64_SCALE
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
+    return (mean + std * z).astype(dtype)
+
+
 class Rng:
     """Deterministic random stream with a 64-bit seed."""
 
@@ -58,38 +102,37 @@ class Rng:
     def derive(self, *tags: int | str) -> "Rng":
         """Child stream keyed by (this key, tags); independent of draws made here."""
         k = self._key
-        with np.errstate(over="ignore"):
-            for tag in tags:
-                if isinstance(tag, str):
-                    k = _mix64(k ^ _fnv1a(tag.encode("utf-8")))
-                else:
-                    k = _mix64(k ^ _mix64(np.uint64(int(tag) & 0xFFFFFFFFFFFFFFFF) + _GOLDEN))
+        for tag in tags:
+            if isinstance(tag, str):
+                k = _mix64(k ^ _fnv1a(tag.encode("utf-8")))
+            else:
+                k = _fold_int(k, np.uint64(int(tag) & 0xFFFFFFFFFFFFFFFF))
         return Rng(self.seed, _key=k)
 
+    def streams(self, tags: np.ndarray, n: int) -> np.ndarray:
+        """(len(tags), n) uint64: row j holds draws 1..n of `derive(tags[j])`.
+
+        Tags are non-negative integers. Convert slices of the result with
+        `to_uniform` / `to_normal` in the order a per-stream caller would
+        draw them."""
+        keys = _fold_int(self._key, np.asarray(tags, dtype=np.uint64))
+        return _draws(keys, 0, n)
+
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        out = _draws(self._key, self._counter, n)
         self._counter += n
-        with np.errstate(over="ignore"):
-            return _mix64(self._key + idx * _GOLDEN)
+        return out
 
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0, dtype=np.float64) -> np.ndarray:
         """Uniform on [low, high), from the top 53 bits of each raw draw."""
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _U64_SCALE
-        out = (low + (high - low) * u).astype(dtype)
+        out = to_uniform(self._raw(n), low, high, dtype)
         return out.reshape(shape) if shape else out[0]
 
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0, dtype=np.float64) -> np.ndarray:
         """Standard Box-Muller normals (pairs of uniforms, u1 kept in (0, 1])."""
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        m = (n + 1) // 2
-        raw = self._raw(2 * m)
-        u1 = ((raw[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * _U64_SCALE
-        u2 = (raw[m:] >> np.uint64(11)).astype(np.float64) * _U64_SCALE
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        out = (mean + std * z).astype(dtype)
+        out = to_normal(self._raw(2 * ((n + 1) // 2)), n, mean, std, dtype)
         return out.reshape(shape) if shape else out[0]
 
     def below(self, bound: int) -> int:

@@ -57,6 +57,10 @@ from .vit import ViTConfig, ViTModel
 
 DEFAULT_LR_GRID = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2)
 DEFAULT_SEEDS = (0, 1, 2)
+# Source pretraining budget of `peftlab pretrain` and the test fixtures. In f64 it
+# clears the 0.9 source floor on SynthSpec(seed=s) with pretrain seed s for s = 18
+# and 23, where 400 steps miss it (tests/test_train.py).
+DEFAULT_PRETRAIN_STEPS = 600
 
 # Largest merged/unmerged relative error over the benchmark's lora-k4 cells
 # (set-up seeds 0-39, lr 1e-3 and 1e-2, 360 runs): 1.7e-14 in f64 and
@@ -642,7 +646,10 @@ def result_rows(result: RunResult) -> list[ResultRow]:
 
 def read_results(path) -> list[ResultRow]:
     rows: list[ResultRow] = []
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line == CSV_HEADER:

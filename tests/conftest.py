@@ -1,7 +1,7 @@
 import pytest
 
 from peftlab.data import SynthSpec, load_manifest, synth_generate
-from peftlab.train import pretrain_backbone
+from peftlab.train import DEFAULT_PRETRAIN_STEPS, pretrain_backbone
 from peftlab.vit import PRESETS
 
 # Small corpus for fast trainer/CLI tests: 5 classes x 30 images (21/4/5 split).
@@ -35,7 +35,7 @@ def fast_ckpt(fast_dirs, fast_source, tmp_path_factory):
 
 # Full-size benchmark corpus for the acceptance suite (default generator).
 BENCH_SPEC = SynthSpec()
-BENCH_PRETRAIN_STEPS = 400
+BENCH_PRETRAIN_STEPS = DEFAULT_PRETRAIN_STEPS
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import pytest
 import peftlab
 from peftlab import cli, train
 from peftlab.cli import main
-from peftlab.data import load_manifest
+from peftlab.data import load_manifest, synth_spec_keys
 from peftlab.errors import NumericError
 from peftlab.train import read_results
 
@@ -44,6 +44,36 @@ def test_synth_rerun_byte_identical(tmp_path):
     run_cli("synth", "--spec", spec, "--out", out, "--task", "source")
     assert (out / "source" / "manifest.csv").read_bytes() == manifest_bytes
     assert img.read_bytes() == img_bytes
+
+
+@pytest.mark.parametrize("line", ["num_clases=3", "num_classes=abc", "split_fractions=1,0",
+                                  "source.distractor_count=1.5"])
+def test_synth_bad_spec_exits_2_and_writes_nothing(tmp_path, capsys, line):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(f"samples_per_class=4\n{line}\n")
+    out = tmp_path / "data"
+    assert run_cli("synth", "--spec", spec, "--out", out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and line.partition("=")[0] in err[0]
+    assert not out.exists()
+
+
+def test_synth_help_lists_every_spec_key(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth", "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert all(key in text for key in synth_spec_keys())
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--config"])
+def test_synth_non_utf8_spec_or_config_exits_3(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfenum_classes=3\n")
+    assert run_cli("synth", flag, bad, "--out", tmp_path / "data") == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "not UTF-8" in err[0]
+    assert not (tmp_path / "data").exists()
 
 
 # -- pretrain -------------------------------------------------------------------
@@ -282,6 +312,14 @@ def test_report_on_a_path_that_is_no_file_exits_3(tmp_path, capsys, where):
     assert run_cli("report", "--in", path, "--shape", "table") == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(path) in err[0]
+
+
+def test_report_non_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"\xff\xfemode,dataset\n")
+    assert run_cli("report", "--in", path, "--shape", "table") == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "not UTF-8" in err[0]
 
 
 def test_report_to_file(tmp_path):

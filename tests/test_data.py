@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peftlab.data import (
+    SYNTH_CHUNK,
     DatasetManifest,
     ManifestItem,
     StyleParams,
@@ -112,6 +115,13 @@ def test_manifest_parse_errors(tmp_path):
         load_manifest(p)
 
 
+def test_manifest_not_utf8_is_a_format_error(tmp_path):
+    p = tmp_path / "manifest.csv"
+    p.write_bytes(b"\xff\xfe#classes=a;b\n")
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_manifest(p)
+
+
 def test_manifest_label_range_guard():
     with pytest.raises(DataError):
         DatasetManifest(name="x", classes=("a",), items=[ManifestItem("i", 1, "train")],
@@ -213,6 +223,16 @@ def test_synth_spec_guards():
         SynthSpec(split_fractions=(0.5, 0.2, 0.2))
 
 
+@pytest.mark.parametrize("kw", [
+    {"image_size": 0}, {"split_fractions": (1.0, 0.0)}, {"split_fractions": (1.2, -0.1, -0.1)},
+    {"samples_per_class": 1}, {"channels": 0}, {"channels": 256}, {"blobs_per_class": 0},
+    {"noise_level": -0.1}, {"noise_level": math.nan},
+])
+def test_synth_spec_rejects_specs_that_render_nothing_or_crash(kw):
+    with pytest.raises(ConfigError):
+        SynthSpec(**kw)
+
+
 def test_synth_split_counts_default():
     assert SynthSpec().split_counts() == (70, 15, 15)
     assert SMALL_SPEC.split_counts() == (7, 1, 2)
@@ -271,3 +291,97 @@ def test_synth_spec_dict_roundtrip():
                      target_style=StyleParams(blob_gain=-0.4, texture_freq=6.0))
     again = synth_spec_from_dict(synth_spec_to_dict(spec))
     assert again == spec
+
+
+# -- the per-image renderer the batched one replaced, kept as its oracle ---------------
+
+
+def reference_render(spec, task, label, index):
+    style = spec.style(task)
+    s = spec.image_size
+    rng = Rng(spec.seed).derive(task, label, index)
+    coords = (np.arange(s) + 0.5) / s
+    yy, xx = np.meshgrid(coords, coords, indexing="ij")
+
+    phase = rng.uniform(low=0.0, high=2.0 * math.pi)
+    proj = xx * math.cos(style.texture_angle) + yy * math.sin(style.texture_angle)
+    img = style.base_level + style.texture_amp * np.sin(
+        2.0 * math.pi * style.texture_freq * proj + phase
+    )
+
+    if style.ramp_amp != 0.0:
+        theta = rng.uniform(low=0.0, high=2.0 * math.pi)
+        img = img + style.ramp_amp * (
+            (xx - 0.5) * math.cos(theta) + (yy - 0.5) * math.sin(theta)
+        )
+
+    centers = class_geometry(spec, label)
+    jit = rng.normal(centers.shape, std=style.jitter)
+    gain = float(rng.uniform(low=0.85, high=1.15)) * style.blob_gain
+    for (cy, cx) in centers + jit:
+        d2 = (yy - cy) ** 2 + (xx - cx) ** 2
+        img = img + gain * np.exp(-d2 / (2.0 * style.blob_radius**2))
+
+    for _ in range(style.distractor_count):
+        dy, dx = rng.uniform(low=0.1, high=0.9), rng.uniform(low=0.1, high=0.9)
+        dgain = float(rng.uniform(low=0.85, high=1.15)) * style.distractor_gain
+        d2 = (yy - dy) ** 2 + (xx - dx) ** 2
+        img = img + dgain * np.exp(-d2 / (2.0 * style.distractor_radius**2))
+
+    if spec.noise_level > 0:
+        img = img + rng.normal(img.shape, std=spec.noise_level)
+    img = np.clip(img, 0.0, 1.0)
+    return np.repeat(img[None], spec.channels, axis=0)
+
+
+def reference_generate(spec, task, out):
+    (out / "images").mkdir(parents=True)
+    tr, va, _ = spec.split_counts()
+    items, train_pixels = [], []
+    for label in range(spec.num_classes):
+        for j in range(spec.samples_per_class):
+            split = "train" if j < tr else ("val" if j < tr + va else "test")
+            rel = f"images/img_{label:02d}_{j:03d}.cyt"
+            img = reference_render(spec, task, label, j)
+            write_image(out / rel, img)
+            items.append(ManifestItem(rel, label, split))
+            if split == "train":
+                train_pixels.append(img)
+    stack = np.stack(train_pixels).astype(np.float64)
+    save_manifest(out / "manifest.csv", DatasetManifest(
+        name=task, classes=tuple(f"class{c:02d}" for c in range(spec.num_classes)), items=items,
+        norm_mean=tuple(float(v) for v in stack.mean(axis=(0, 2, 3))),
+        norm_std=tuple(max(float(v), 1e-6) for v in stack.std(axis=(0, 2, 3))),
+    ))
+
+
+ORACLE_SPECS = {
+    # 100 images per class: full chunks and a 4-image tail
+    "default": SynthSpec(),
+    # fewer images than one chunk
+    "small": SMALL_SPEC,
+    "chunk+1": SynthSpec(num_classes=2, samples_per_class=SYNTH_CHUNK + 1, image_size=16,
+                         blobs_per_class=1, noise_level=0.2, seed=9),
+    "ramp-distractors-rgb-noiseless": SynthSpec(
+        num_classes=3, samples_per_class=37, channels=3, noise_level=0.0, seed=4,
+        source_style=StyleParams(ramp_amp=0.3, distractor_count=2, distractor_gain=0.5),
+        target_style=StyleParams(base_level=0.6, blob_gain=-0.5, ramp_amp=-0.2,
+                                 distractor_count=1, distractor_gain=-0.4),
+    ),
+}
+
+
+@pytest.mark.parametrize("task", ["source", "target"])
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_synth_is_bitwise_the_per_image_reference(tmp_path, name, task):
+    spec = ORACLE_SPECS[name]
+    man = synth_generate(spec, task, tmp_path / "batched")
+    reference_generate(spec, task, tmp_path / "reference")
+    for rel in ["manifest.csv"] + [it.path for it in man.items]:
+        assert (tmp_path / "batched" / rel).read_bytes() == (tmp_path / "reference" / rel).read_bytes(), rel
+    # the float64 pixels too, before the float32 cast, through the one-image batch
+    last = spec.samples_per_class - 1
+    for label, index in ((0, 0), (spec.num_classes - 1, last)):
+        want = reference_render(spec, task, label, index)
+        got = render_image(spec, task, label, index)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peftlab.rng import Rng
+from peftlab.rng import Rng, to_normal, to_uniform
 
 
 def test_same_seed_same_stream():
@@ -100,3 +100,24 @@ def test_sample_without_replacement_rejects_bad_counts():
     for n, k in ((3, 4), (3, -1)):
         with pytest.raises(ValueError):
             Rng(0).sample_without_replacement(n, k)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_streams_equal_per_stream_draws(n):
+    base = Rng(31).derive("task", 2)
+    tags = [0, 5, 17, 2**40]
+    skip, m2 = 3, 2 * ((n + 1) // 2)  # odd n: Box-Muller takes one raw draw more
+    raw = base.streams(np.array(tags), skip + n + m2 + 1)
+    assert raw.shape == (len(tags), skip + n + m2 + 1) and raw.dtype == np.uint64
+    for row, tag in zip(raw, tags):
+        one = base.derive(tag)
+        # the counter continues across calls; the batch's columns are the counter
+        np.testing.assert_array_equal(to_uniform(row[:skip]), one.uniform((skip,)))
+        np.testing.assert_array_equal(to_uniform(row[skip:skip + n], -1.0, 2.0),
+                                      one.uniform((n,), low=-1.0, high=2.0))
+        np.testing.assert_array_equal(to_normal(row[skip + n:skip + n + m2], n, 0.5, 3.0),
+                                      one.normal((n,), mean=0.5, std=3.0))
+        assert to_uniform(row[-1:])[0] == one.uniform()
+    # converting the whole batch at once gives the rows' values
+    block = raw[:, skip + n:skip + n + m2]
+    np.testing.assert_array_equal(to_normal(block, n), np.stack([to_normal(r, n) for r in block]))

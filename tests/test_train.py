@@ -10,7 +10,7 @@ import pytest
 
 from peftlab import train
 from peftlab.checkpoint import load_backbone, load_checkpoint
-from peftlab.data import DatasetManifest, ManifestItem, load_image
+from peftlab.data import DatasetManifest, ManifestItem, SynthSpec, load_image, synth_generate
 from peftlab.errors import (
     ConfigError,
     InsufficientDataError,
@@ -22,6 +22,7 @@ from peftlab.lora import LoraConfig, trainable_param_count
 from peftlab.rng import Rng
 from peftlab.tensor import resolve_dtype
 from peftlab.train import (
+    DEFAULT_PRETRAIN_STEPS,
     ResultRow,
     SeedRun,
     TrainConfig,
@@ -577,6 +578,16 @@ def test_pretrain_rerun_identical_bytes(fast_source, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [18, 23])
+def test_default_pretrain_budget_clears_the_source_floor(seed, tmp_path):
+    # the two seeds on which a 400-step f64 pretrain stays under the floor
+    source = synth_generate(SynthSpec(seed=seed), "source", tmp_path / "source")
+    res = pretrain_backbone(PRESETS["tiny"], source, steps=DEFAULT_PRETRAIN_STEPS, seed=seed,
+                            out_path=tmp_path / "bb.peft")
+    assert res.test_top1 > 0.9
+
+
 # -- results CSV and manifest ----------------------------------------------------------
 
 
@@ -611,6 +622,13 @@ def test_results_parse_error_line_number(tmp_path):
     path = tmp_path / "results.csv"
     path.write_text("mode,dataset,k_or_fraction,lr,seed,test_top1,params_trainable,wall_ms\nbad,row\n")
     with pytest.raises(ParseError, match="line 2"):
+        read_results(path)
+
+
+def test_results_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_bytes(b"\xff\xfemode,dataset\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
         read_results(path)
 
 
